@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.nlp.keywords import CONTEXT_TERMS, SUBJECT_TERMS
+from repro.organs import ALIASES
 
 
 @dataclass(frozen=True, slots=True)
@@ -19,8 +20,10 @@ class CollectionConfig:
     """Configuration for the three-step collection pipeline (§III-A).
 
     Attributes:
-        context_terms: organ-donation Context vocabulary (Fig. 1, rows).
-        subject_terms: organ Subject vocabulary (Fig. 1, columns).
+        context_terms: organ-donation Context vocabulary (Fig. 1, rows);
+            each a single word, since a track phrase splits on spaces.
+        subject_terms: organ Subject vocabulary (Fig. 1, columns); each
+            an organ alias, so every query names its organ.
         prefer_geotag: resolve location from the tweet geo-tag before the
             profile string, as the paper does (GPS is more precise but
             ~1.4% coverage).
@@ -38,6 +41,16 @@ class CollectionConfig:
             raise ConfigError("context_terms must not be empty")
         if not self.subject_terms:
             raise ConfigError("subject_terms must not be empty")
+        for term in self.context_terms:
+            if term.split() != [term]:
+                raise ConfigError(
+                    f"context_terms must be single words, got {term!r}"
+                )
+        for term in self.subject_terms:
+            if term not in ALIASES:
+                raise ConfigError(
+                    f"subject_terms must be organ aliases, got {term!r}"
+                )
         if not 0.0 <= self.min_confidence <= 1.0:
             raise ConfigError(
                 f"min_confidence must be in [0, 1], got {self.min_confidence}"

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.organs import ALIASES, Organ
-from repro.nlp.tokenize import present_terms
 
 #: Context vocabulary: terms that put a tweet in the organ-donation domain.
 CONTEXT_TERMS: tuple[str, ...] = (
@@ -75,22 +74,3 @@ def track_phrases(queries: tuple[KeywordQuery, ...]) -> tuple[str, ...]:
     """The ``track`` phrase list for a query set."""
     return tuple(query.track_phrase for query in queries)
 
-
-def matches_query_set(text: str, queries: tuple[KeywordQuery, ...] | None = None) -> bool:
-    """True when the text satisfies at least one conjunctive query.
-
-    Hashtag bodies count: ``#kidneydonor`` satisfies ``kidney AND donor``
-    because both terms appear inside the hashtag, matching Twitter's
-    behaviour of matching terms inside hashtags.  Substring matching is
-    restricted to hashtag-derived tokens — a term glued inside a longer
-    plain word (``organ`` in ``organized``) does not match, mirroring
-    :class:`repro.nlp.matcher.OrganMatcher`.
-    """
-    if queries is None:
-        present = present_terms(text, CONTEXT_TERMS + SUBJECT_TERMS)
-        return any(term in present for term in CONTEXT_TERMS) and any(
-            term in present for term in SUBJECT_TERMS
-        )
-    vocabulary = {q.context for q in queries} | {q.subject for q in queries}
-    present = present_terms(text, vocabulary)
-    return any(q.context in present and q.subject in present for q in queries)

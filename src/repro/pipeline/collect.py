@@ -14,7 +14,16 @@ from collections.abc import Iterable
 from repro.config import CollectionConfig
 from repro.nlp.keywords import build_query_set, track_phrases
 from repro.twitter.models import Tweet
-from repro.twitter.stream import FilteredStream
+from repro.twitter.stream import FilteredStream, TrackFilter
+
+
+def track_filter(config: CollectionConfig) -> TrackFilter:
+    """The query set Q of ``config`` as one ``track`` filter."""
+    return TrackFilter(
+        track_phrases(
+            build_query_set(config.context_terms, config.subject_terms)
+        )
+    )
 
 
 def collect(source: Iterable[Tweet], config: CollectionConfig) -> FilteredStream:
@@ -23,5 +32,4 @@ def collect(source: Iterable[Tweet], config: CollectionConfig) -> FilteredStream
     Returns the stream object (not a list) so callers can consume lazily
     and read the delivered/dropped counters afterwards.
     """
-    queries = build_query_set(config.context_terms, config.subject_terms)
-    return FilteredStream(source, track=track_phrases(queries))
+    return FilteredStream(source, track=track_filter(config))

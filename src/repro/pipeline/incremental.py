@@ -1,8 +1,9 @@
 """Resumable, checkpointed collection.
 
 The paper's dataset took 385 days of continuous collection; any real
-collector restarts many times in such a window.  This module wraps the
-pipeline in an append-only JSONL sink plus a JSON checkpoint (last
+collector restarts many times in such a window.  This module feeds the
+funnel kernel (:class:`repro.pipeline.batch.Funnel`) one tweet at a time
+and appends its records to a JSONL sink beside a JSON checkpoint (last
 processed tweet id and cumulative counters), so a collection can stop at
 any point and resume exactly where it left off without duplicating or
 dropping records.
@@ -41,13 +42,9 @@ if TYPE_CHECKING:
 
 from repro.config import CollectionConfig, ResiliencePolicy
 from repro.dataset.io import read_jsonl
-from repro.dataset.records import CollectedTweet
 from repro.errors import PipelineError, SerializationError
-from repro.geo.geocoder import Geocoder
-from repro.nlp.keywords import build_query_set, matches_query_set
-from repro.nlp.matcher import OrganMatcher
-from repro.pipeline.augment import augment_location
-from repro.pipeline.usfilter import is_us_located
+from repro.pipeline.batch import Funnel
+from repro.pipeline.runner import PipelineReport
 from repro.storage.fs import LOCAL_FS, FileSystem
 from repro.storage.manifest import (
     build_manifest,
@@ -95,7 +92,11 @@ class IncrementalCollector:
             collection to injected disk faults.
 
     Tweets with ids at or below the checkpoint are skipped, so re-feeding
-    an overlapping stream slice is safe and idempotent.
+    an overlapping stream slice is safe and idempotent; every other tweet
+    goes through the funnel kernel (:class:`repro.pipeline.batch.Funnel`)
+    one at a time.  :attr:`report` holds the kernel's counters for the
+    tweets this instance processed; they live in memory only, the
+    checkpoint keeps the durable ``seen``/``retained`` totals.
     """
 
     def __init__(
@@ -118,11 +119,8 @@ class IncrementalCollector:
         self.config = config or CollectionConfig()
         self.resilience = resilience or ResiliencePolicy()
         self.reliability: ReliabilityReport | None = None
-        self._queries = build_query_set(
-            self.config.context_terms, self.config.subject_terms
-        )
-        self._geocoder = Geocoder()
-        self._matcher = OrganMatcher()
+        self.report = PipelineReport()
+        self._funnel = Funnel(self.config)
         self.checkpoint = self._load_checkpoint()
         self._recover()
 
@@ -320,6 +318,7 @@ class IncrementalCollector:
             source = resilient
         written = 0
         since_checkpoint = 0
+        process = self._funnel.process_batch
         # Sanctioned raw append (DESIGN §15): the corpus sink is an
         # append-only journal whose durability contract is fsync-before-
         # checkpoint plus torn-tail recovery on resume — AtomicWriter's
@@ -330,8 +329,7 @@ class IncrementalCollector:
                 if tweet.tweet_id <= self.checkpoint.last_tweet_id:
                     continue  # already processed in a previous run
                 self.checkpoint.seen += 1
-                record = self._process(tweet)
-                if record is not None:
+                for __, record in process([(0, tweet)], self.report):
                     sink.write(
                         json.dumps(record.to_dict(), ensure_ascii=False)
                     )
@@ -348,19 +346,6 @@ class IncrementalCollector:
         self._save_checkpoint()
         self._write_corpus_manifest()
         return written
-
-    def _process(self, tweet: Tweet) -> CollectedTweet | None:
-        if not matches_query_set(tweet.text, self._queries):
-            return None
-        match = augment_location(tweet, self._geocoder, self.config)
-        if not is_us_located(match, self.config):
-            return None
-        mentions = self._matcher.mentions(tweet.text)
-        if not mentions:
-            return None
-        return CollectedTweet(
-            tweet=tweet, location=match, mentions=dict(mentions)
-        )
 
     def load_corpus(self) -> TweetCorpus:
         """The accumulated corpus across all runs.

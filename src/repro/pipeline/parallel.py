@@ -9,8 +9,8 @@ the results so that the outcome is *indistinguishable* from a serial run:
   ``tweet_id % workers``, so shard membership depends only on the data,
   never on timing or scheduler interleaving.
 * **Per-worker state** — each worker builds its own
-  :class:`~repro.geo.geocoder.Geocoder` and
-  :class:`~repro.nlp.matcher.OrganMatcher`; nothing is shared, so there
+  :class:`~repro.pipeline.batch.Funnel` (track filter, geocoder and
+  matcher) and feeds it 2048-tweet batches; nothing is shared, so there
   is no cross-process cache coherence to reason about.
 * **Ordered merge** — each retained record carries its position in the
   original stream; the merged corpus is sorted by that position, making
@@ -43,16 +43,12 @@ from repro.config import CollectionConfig
 from repro.dataset.records import CollectedTweet
 from repro.errors import ConfigError
 from repro.faults.compute import WorkerFaultPlan
-from repro.geo.geocoder import Geocoder
-from repro.nlp.keywords import build_query_set, track_phrases
-from repro.nlp.matcher import OrganMatcher
-from repro.pipeline.batch import process_stream
+from repro.pipeline.batch import Funnel
 from repro.pipeline.runner import PipelineReport
 from repro.pipeline.wire import decode_shard_result, encode_shard_result
 from repro.procpool import pick_start_method
 from repro.supervise import RawResult, SupervisorPolicy, run_supervised
 from repro.twitter.models import Tweet
-from repro.twitter.stream import TrackFilter
 
 #: One shard is a list of (original stream position, tweet).
 Shard = list[tuple[int, Tweet]]
@@ -81,21 +77,12 @@ def process_shard(
 ) -> tuple[list[tuple[int, CollectedTweet]], PipelineReport]:
     """Run collect → augment → US-filter over one shard.
 
-    Executed inside a worker process: constructs its own geocoder and
-    matcher, drives the shared batched engine
-    (:func:`repro.pipeline.batch.process_stream`), and returns position-
-    tagged surviving records plus the shard's provenance counters.
+    Executed inside a worker process: builds its own
+    :class:`~repro.pipeline.batch.Funnel` and returns position-tagged
+    surviving records plus the shard's provenance counters.
     """
-    geocoder = Geocoder()
-    matcher = OrganMatcher()
-    track = TrackFilter(
-        track_phrases(
-            build_query_set(config.context_terms, config.subject_terms)
-        )
-    )
     report = PipelineReport()
-    out = process_stream(shard, config, track, geocoder, matcher, report)
-    return out, report
+    return Funnel(config).process_stream(shard, report), report
 
 
 def _run_shard(

@@ -5,11 +5,10 @@ Runs collect → augment → US-filter over a tweet source and produces a
 stage dropped and why — the numbers behind Table I's footnote ("134,986 out
 of 975,021 tweets could be identified as from USA users").
 
-The per-tweet stage logic lives in :func:`process_matched`; the batched
-hot path in :mod:`repro.pipeline.batch` runs the same funnel chunk-wise,
-and both the serial loop here and the sharded workers in
-:mod:`repro.pipeline.parallel` drive that one engine, so every execution
-mode runs exactly the same code path.
+The funnel itself is :class:`repro.pipeline.batch.Funnel`; the serial
+loop here feeds it 2048-tweet batches, as do the sharded workers in
+:mod:`repro.pipeline.parallel`, so every execution mode runs the same
+code.
 """
 
 from __future__ import annotations
@@ -24,10 +23,7 @@ from repro.dataset.records import CollectedTweet
 from repro.errors import ConfigError, PipelineError
 from repro.geo.geocoder import Geocoder
 from repro.nlp.matcher import OrganMatcher
-from repro.nlp.keywords import build_query_set, track_phrases
-from repro.pipeline.augment import augment_location
-from repro.pipeline.usfilter import is_us_located
-from repro.twitter.stream import TrackFilter
+from repro.pipeline.batch import Funnel
 from repro.twitter.faults import FaultPlan, FaultySource
 from repro.twitter.models import Tweet
 from repro.faults.compute import WorkerFaultPlan
@@ -203,39 +199,6 @@ def emit_funnel_metrics(
     telemetry.inc("pipeline.retained", report.retained)
 
 
-def process_matched(
-    tweet: Tweet,
-    geocoder: Geocoder,
-    matcher: OrganMatcher,
-    config: CollectionConfig,
-    report: PipelineReport,
-) -> CollectedTweet | None:
-    """Augment → US-filter → mention-extraction for one collected tweet.
-
-    Updates ``report`` counters in place and returns the surviving record,
-    or ``None`` when the tweet was dropped.  ``report.collected`` is the
-    caller's responsibility (the keyword filter runs upstream).
-    """
-    match = augment_location(tweet, geocoder, config)
-    if not match.resolved:
-        report.unresolved += 1
-        return None
-    if match.source == "gps":
-        report.located_gps += 1
-    else:
-        report.located_profile += 1
-    if not is_us_located(match, config):
-        report.non_us += 1
-        return None
-    report.us_located += 1
-    mentions = matcher.mentions(tweet.text)
-    if not mentions:
-        report.no_mentions += 1
-        return None
-    report.retained += 1
-    return CollectedTweet(tweet=tweet, location=match, mentions=dict(mentions))
-
-
 @dataclass(slots=True)
 class CollectionPipeline:
     """The three-step pipeline of §III-A as a reusable object.
@@ -327,23 +290,8 @@ class CollectionPipeline:
     def _run_serial(
         self, source: Iterable[Tweet]
     ) -> tuple[list[CollectedTweet], PipelineReport]:
-        from repro.pipeline.batch import process_stream
-
         report = PipelineReport()
-        track = TrackFilter(
-            track_phrases(
-                build_query_set(
-                    self.config.context_terms, self.config.subject_terms
-                )
-            )
-        )
-        tagged = process_stream(
-            enumerate(source),
-            self.config,
-            track,
-            self.geocoder,
-            self.matcher,
-            report,
-        )
+        funnel = Funnel(self.config, self.geocoder, self.matcher)
+        tagged = funnel.process_stream(enumerate(source), report)
         # Positions from enumerate() are already ascending — no sort.
         return [record for __, record in tagged], report

@@ -4,7 +4,9 @@ Consumes a live (or replayed) tweet stream and maintains the paper's
 user-level characterization over a sliding time window, emitting
 :class:`AwarenessSnapshot` records: per-organ user counts and the states
 currently showing a significant conversation excess (Eq. 4 applied to the
-window's population).
+window's population).  Each tweet that is not stale goes through the
+funnel kernel (:class:`repro.pipeline.batch.Funnel`) as a one-tweet
+batch, so the window holds exactly the records a batch run retains.
 """
 
 from __future__ import annotations
@@ -20,13 +22,10 @@ from repro.dataset.corpus import TweetCorpus
 from repro.dataset.records import CollectedTweet
 from repro.dataset.stats import users_per_organ
 from repro.errors import ConfigError
-from repro.geo.geocoder import Geocoder
-from repro.nlp.keywords import build_query_set, matches_query_set
 from repro.obs import current as telemetry_current
-from repro.nlp.matcher import OrganMatcher
 from repro.organs import Organ
-from repro.pipeline.augment import augment_location
-from repro.pipeline.usfilter import is_us_located
+from repro.pipeline.batch import Funnel
+from repro.pipeline.runner import PipelineReport
 from repro.twitter.models import Tweet
 
 
@@ -65,9 +64,11 @@ class RollingAwarenessSensor:
             flag anything, exactly as a cold-started sensor should.
 
     The sensor is pure stream-processing: :meth:`observe` ingests one raw
-    tweet (applying the full §III-A pipeline inline) and :meth:`snapshot`
+    tweet (applying the full §III-A funnel) and :meth:`snapshot`
     characterizes the current window.  Eviction follows tweet timestamps,
     so replays of historical streams behave identically to live use.
+    :attr:`report` holds the funnel counters of every tweet that was not
+    stale.
 
     Out-of-order arrivals are handled exactly: the eviction horizon
     follows the *newest* timestamp seen (the stream frontier), a tweet
@@ -89,15 +90,11 @@ class RollingAwarenessSensor:
         self.window = window
         self.collection = collection or CollectionConfig()
         self.relative_risk = relative_risk or RelativeRiskConfig()
-        self._queries = build_query_set(
-            self.collection.context_terms, self.collection.subject_terms
-        )
-        self._geocoder = Geocoder()
-        self._matcher = OrganMatcher()
+        self.report = PipelineReport()
+        self._funnel = Funnel(self.collection)
         self._buffer: deque[CollectedTweet] = deque()
         self._frontier: datetime | None = None
         self.seen = 0
-        self.retained = 0
         self.stale_dropped = 0
 
     def observe(self, tweet: Tweet) -> bool:
@@ -118,17 +115,10 @@ class RollingAwarenessSensor:
             self.stale_dropped += 1
             telemetry_current().inc("sensor.stale_dropped")
             return False
-        if not matches_query_set(tweet.text, self._queries):
+        kept = self._funnel.process_batch([(0, tweet)], self.report)
+        if not kept:
             return False
-        match = augment_location(tweet, self._geocoder, self.collection)
-        if not is_us_located(match, self.collection):
-            return False
-        mentions = self._matcher.mentions(tweet.text)
-        if not mentions:
-            return False
-        record = CollectedTweet(
-            tweet=tweet, location=match, mentions=dict(mentions)
-        )
+        record = kept[0][1]
         # Keep the buffer timestamp-sorted so eviction's head scan is
         # exact; a late arrival walks back from the tail (bounded by its
         # displacement, which transport reordering keeps small).
@@ -143,7 +133,6 @@ class RollingAwarenessSensor:
         else:
             self._buffer.insert(position, record)
             telemetry_current().inc("sensor.late_arrivals")
-        self.retained += 1
         return True
 
     def snapshot(self) -> AwarenessSnapshot | None:
@@ -184,6 +173,11 @@ class RollingAwarenessSensor:
         final = self.snapshot()
         if final is not None:
             yield final
+
+    @property
+    def retained(self) -> int:
+        """Tweets admitted to the window so far."""
+        return self.report.retained
 
     @property
     def window_size(self) -> int:

@@ -104,12 +104,17 @@ class FilteredStream:
     collection yield can be reported the way Table I's footnote does.
 
     The stream is single-use, like a network stream: iterating after
-    :meth:`close` raises :class:`StreamClosedError`.
+    :meth:`close` raises :class:`StreamClosedError`.  ``track`` is the
+    phrase list or an already built :class:`TrackFilter`.
     """
 
-    def __init__(self, source: Iterable[Tweet], track: Iterable[str]):
+    def __init__(
+        self, source: Iterable[Tweet], track: Iterable[str] | TrackFilter
+    ):
         self._source = iter(source)
-        self._filter = TrackFilter(track)
+        self._filter = (
+            track if isinstance(track, TrackFilter) else TrackFilter(track)
+        )
         self._closed = False
         self.delivered = 0
         self.dropped = 0

@@ -1,13 +1,26 @@
-"""Tests for the Context × Subject query set (Fig. 1)."""
+"""Tests for the Context × Subject query set (Fig. 1).
 
+Matching runs through the funnel kernel's filter
+(:func:`repro.pipeline.collect.track_filter`) built from the same query
+set, the one keyword filter every collection path uses.
+"""
+
+from repro.config import CollectionConfig
 from repro.nlp.keywords import (
     CONTEXT_TERMS,
     SUBJECT_TERMS,
     build_query_set,
-    matches_query_set,
     track_phrases,
 )
 from repro.organs import ALIASES, Organ
+from repro.pipeline.collect import track_filter
+
+_DEFAULT_FILTER = track_filter(CollectionConfig())
+
+
+def matches(text, config=None):
+    track = _DEFAULT_FILTER if config is None else track_filter(config)
+    return track.matches(text)
 
 
 class TestQuerySetConstruction:
@@ -37,42 +50,44 @@ class TestQuerySetConstruction:
 
 class TestMatching:
     def test_context_and_subject_matches(self):
-        assert matches_query_set("be a kidney donor today")
+        assert matches("be a kidney donor today")
 
     def test_context_without_subject_rejected(self):
-        assert not matches_query_set("please donate to the food bank")
+        assert not matches("please donate to the food bank")
 
     def test_subject_without_context_rejected(self):
-        assert not matches_query_set("my heart is full tonight")
+        assert not matches("my heart is full tonight")
 
     def test_neither_rejected(self):
-        assert not matches_query_set("beautiful sunset")
+        assert not matches("beautiful sunset")
 
     def test_empty_rejected(self):
-        assert not matches_query_set("")
+        assert not matches("")
 
     def test_alias_subject_matches(self):
-        assert matches_query_set("she needs a renal transplant")
+        assert matches("she needs a renal transplant")
 
     def test_glued_hashtag_satisfies_both_terms(self):
-        assert matches_query_set("support #kidneytransplant week")
+        assert matches("support #kidneytransplant week")
 
     def test_hashtag_subject_with_plain_context(self):
-        assert matches_query_set("register as a donor #lung")
+        assert matches("register as a donor #lung")
 
     def test_explicit_query_list(self):
-        queries = build_query_set(("donor",), ("kidney",))
-        assert matches_query_set("kidney donor drive", queries)
-        assert not matches_query_set("liver donor drive", queries)
+        config = CollectionConfig(
+            context_terms=("donor",), subject_terms=("kidney",)
+        )
+        assert matches("kidney donor drive", config)
+        assert not matches("liver donor drive", config)
 
     def test_case_insensitive(self):
-        assert matches_query_set("KIDNEY DONOR")
+        assert matches("KIDNEY DONOR")
 
     def test_term_glued_inside_plain_word_rejected(self):
         # Substring matching applies only to hashtag bodies, never to
         # longer plain words that merely contain a vocabulary term.
-        assert not matches_query_set("reorganized the kidneys conference")
-        assert not matches_query_set("organized heartfelt meetup")
+        assert not matches("reorganized the kidneys conference")
+        assert not matches("organized heartfelt meetup")
 
     def test_hyphen_compound_satisfies_subject(self):
-        assert matches_query_set("dad needs a heart-kidney transplant")
+        assert matches("dad needs a heart-kidney transplant")

@@ -1,10 +1,11 @@
-"""Tests for the batched hot-path engine.
+"""Tests for the funnel kernel.
 
-The batch engine inlines the keyword filter + :func:`process_matched`
-funnel into one tight loop; these tests hold the two formulations in
-lockstep — same records, same provenance counters — over a real
-synthetic firehose, so any drift between the inlined conditions and
-:func:`augment_location` / :func:`is_us_located` fails loudly.
+:class:`Funnel` runs the keyword filter and the per-tweet stages in one
+tight loop with hoisted locals and batched counter flushes; these tests
+hold it in lockstep with the unbatched formulation below — same records,
+same provenance counters — over a real synthetic firehose, so any drift
+between the loop and :func:`augment_location` / :func:`is_us_located`
+fails loudly.
 """
 
 from __future__ import annotations
@@ -12,20 +13,48 @@ from __future__ import annotations
 import pytest
 
 from repro.config import CollectionConfig
+from repro.dataset.records import CollectedTweet
 from repro.geo.geocoder import Geocoder
-from repro.nlp.keywords import build_query_set, track_phrases
 from repro.nlp.matcher import OrganMatcher
-from repro.pipeline.batch import BATCH_SIZE, iter_batches, process_stream
-from repro.pipeline.runner import PipelineReport, process_matched
-from repro.twitter.stream import TrackFilter
+from repro.pipeline.augment import augment_location
+from repro.pipeline.batch import BATCH_SIZE, Funnel, iter_batches
+from repro.pipeline.collect import track_filter
+from repro.pipeline.runner import PipelineReport
+from repro.pipeline.usfilter import is_us_located
+from repro.twitter.models import Tweet
 
 
-def _track_filter(config: CollectionConfig) -> TrackFilter:
-    return TrackFilter(
-        track_phrases(
-            build_query_set(config.context_terms, config.subject_terms)
-        )
-    )
+def process_matched(
+    tweet: Tweet,
+    geocoder: Geocoder,
+    matcher: OrganMatcher,
+    config: CollectionConfig,
+    report: PipelineReport,
+) -> CollectedTweet | None:
+    """Augment → US-filter → mention-extraction for one collected tweet.
+
+    Updates ``report`` counters in place and returns the surviving record,
+    or ``None`` when the tweet was dropped.  ``report.collected`` is the
+    caller's responsibility (the keyword filter runs upstream).
+    """
+    match = augment_location(tweet, geocoder, config)
+    if not match.resolved:
+        report.unresolved += 1
+        return None
+    if match.source == "gps":
+        report.located_gps += 1
+    else:
+        report.located_profile += 1
+    if not is_us_located(match, config):
+        report.non_us += 1
+        return None
+    report.us_located += 1
+    mentions = matcher.mentions(tweet.text)
+    if not mentions:
+        report.no_mentions += 1
+        return None
+    report.retained += 1
+    return CollectedTweet(tweet=tweet, location=match, mentions=dict(mentions))
 
 
 def _reference_run(source, config):
@@ -33,7 +62,7 @@ def _reference_run(source, config):
     report = PipelineReport()
     geocoder = Geocoder()
     matcher = OrganMatcher()
-    track = _track_filter(config)
+    track = track_filter(config)
     tagged = []
     for position, tweet in enumerate(source):
         if not track.matches(tweet.text):
@@ -78,14 +107,7 @@ class TestBatchFunnelLockstep:
         expected_records, expected_report = _reference_run(firehose, config)
 
         report = PipelineReport()
-        records = process_stream(
-            enumerate(firehose),
-            config,
-            _track_filter(config),
-            Geocoder(),
-            OrganMatcher(),
-            report,
-        )
+        records = Funnel(config).process_stream(enumerate(firehose), report)
 
         assert records == expected_records
         assert report == expected_report
@@ -97,31 +119,21 @@ class TestBatchFunnelLockstep:
 
         def run_with_batch_size(size):
             report = PipelineReport()
-            records = process_stream(
-                enumerate(sample),
-                config,
-                _track_filter(config),
-                Geocoder(),
-                OrganMatcher(),
-                report,
-                batch_size=size,
+            records = Funnel(config).process_stream(
+                enumerate(sample), report, batch_size=size
             )
             return records, report
 
         baseline = run_with_batch_size(2048)
+        assert run_with_batch_size(1) == baseline
         assert run_with_batch_size(7) == baseline
         assert run_with_batch_size(len(sample) + 10) == baseline
 
     def test_positions_ascending(self, firehose):
         config = CollectionConfig()
         report = PipelineReport()
-        records = process_stream(
-            enumerate(firehose[:5_000]),
-            config,
-            _track_filter(config),
-            Geocoder(),
-            OrganMatcher(),
-            report,
+        records = Funnel(config).process_stream(
+            enumerate(firehose[:5_000]), report
         )
         positions = [position for position, __ in records]
         assert positions == sorted(positions)
@@ -130,14 +142,7 @@ class TestBatchFunnelLockstep:
         config = CollectionConfig()
         report = PipelineReport()
         sample = firehose[:5_000]
-        process_stream(
-            enumerate(sample),
-            config,
-            _track_filter(config),
-            Geocoder(),
-            OrganMatcher(),
-            report,
-        )
+        Funnel(config).process_stream(enumerate(sample), report)
         assert report.stream_dropped + report.collected == len(sample)
         assert (
             report.unresolved

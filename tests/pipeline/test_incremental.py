@@ -233,5 +233,11 @@ class TestEquivalenceWithBatchPipeline:
         collector.run(iter(slice_of_world[2200:]))
         incremental_corpus = collector.load_corpus()
 
-        assert len(incremental_corpus) == len(batch_corpus)
-        assert incremental_corpus.user_ids() == batch_corpus.user_ids()
+        def lines(corpus):
+            return [
+                json.dumps(record.to_dict(), ensure_ascii=False)
+                for record in corpus.records
+            ]
+
+        assert lines(batch_corpus)
+        assert lines(incremental_corpus) == lines(batch_corpus)

@@ -89,6 +89,8 @@ class TestOutOfOrderArrivals:
         )
         assert sensor.stale_dropped == 1
         assert sensor.window_size == 1
+        # The stale tweet never reached the funnel.
+        assert sensor.report.collected == sensor.retained == 1
 
     def test_late_in_window_arrival_admitted(self, sensor):
         sensor.observe(tweet("kidney donor", "Wichita, KS", 60, tweet_id=1))

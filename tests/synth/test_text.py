@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.nlp.keywords import matches_query_set
+from repro.config import CollectionConfig
 from repro.nlp.matcher import OrganMatcher
 from repro.organs import ORGANS, Organ
+from repro.pipeline.collect import track_filter
 from repro.synth.text import OFF_TOPIC_TEMPLATES, TweetTextGenerator
+
+#: The funnel kernel's keyword filter for the paper's query set.
+_TRACK = track_filter(CollectionConfig())
 
 
 @pytest.fixture()
@@ -20,7 +24,7 @@ class TestOnTopic:
         for organ in ORGANS:
             for __ in range(30):
                 text = generator.on_topic((organ,))
-                assert matches_query_set(text), text
+                assert _TRACK.matches(text), text
                 assert matcher.distinct_organs(text) == {organ}, text
 
     def test_dual_organ_mentions_exactly_both(self, generator):
@@ -70,7 +74,7 @@ class TestRetweets:
         matcher = OrganMatcher()
         for organ in ORGANS:
             text = generator.on_topic((organ,))
-            assert matches_query_set(text), text
+            assert _TRACK.matches(text), text
             assert matcher.distinct_organs(text) == {organ}, text
 
     def test_fallback_handles_used_when_pool_empty(self):
@@ -83,8 +87,8 @@ class TestRetweets:
 class TestOffTopic:
     def test_off_topic_always_fails_filter(self, generator):
         for __ in range(100):
-            assert not matches_query_set(generator.off_topic())
+            assert not _TRACK.matches(generator.off_topic())
 
     def test_every_template_fails_filter(self):
         for template in OFF_TOPIC_TEMPLATES:
-            assert not matches_query_set(template), template
+            assert not _TRACK.matches(template), template

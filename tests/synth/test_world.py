@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.nlp.keywords import matches_query_set
+from repro.config import CollectionConfig
+from repro.pipeline.collect import track_filter
 from repro.synth.config import (
     ActivityConfig,
     AttentionConfig,
@@ -11,6 +12,9 @@ from repro.synth.config import (
     TextConfig,
 )
 from repro.synth.world import COLLECTION_START, SyntheticWorld
+
+#: The funnel kernel's keyword filter for the paper's query set.
+_TRACK = track_filter(CollectionConfig())
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +65,7 @@ class TestFirehose:
         assert (times[-1] - COLLECTION_START).days < world.config.activity.days
 
     def test_off_topic_fraction_fails_filter(self, tweets):
-        failing = sum(not matches_query_set(t.text) for t in tweets)
+        failing = sum(not _TRACK.matches(t.text) for t in tweets)
         assert failing / len(tweets) == pytest.approx(0.15, abs=0.03)
 
     def test_tweet_ids_unique(self, tweets):
@@ -116,7 +120,7 @@ class TestCalibration:
         counts = [
             len(matcher.distinct_organs(t.text))
             for t in tweets
-            if matches_query_set(t.text)
+            if _TRACK.matches(t.text)
         ]
         mean = sum(counts) / len(counts)
         assert mean == pytest.approx(1.03, abs=0.03)

@@ -27,6 +27,19 @@ class TestCollectionConfig:
         with pytest.raises(ConfigError, match="subject_terms"):
             CollectionConfig(subject_terms=())
 
+    @pytest.mark.parametrize("term", ["", "   ", "organ donor", " donor"])
+    def test_context_term_must_be_one_word(self, term):
+        # A track phrase splits on whitespace, so a blank term drops out
+        # of its phrase and leaves the subject matching on its own.
+        with pytest.raises(ConfigError, match="context_terms"):
+            CollectionConfig(context_terms=("donor", term))
+
+    @pytest.mark.parametrize("term", ["spleen", "Kidney", "kidney donor"])
+    def test_subject_term_must_be_organ_alias(self, term):
+        # Every query names its organ through ALIASES.
+        with pytest.raises(ConfigError, match="subject_terms"):
+            CollectionConfig(subject_terms=("kidney", term))
+
     @pytest.mark.parametrize("bad", [-0.1, 1.5])
     def test_bad_confidence_rejected(self, bad):
         with pytest.raises(ConfigError, match="min_confidence"):
