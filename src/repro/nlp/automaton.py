@@ -149,15 +149,16 @@ class AhoCorasick:
 
 
 class TermVocabulary:
-    """Single-pass ``present_terms`` engine for one fixed vocabulary.
+    """Single-pass term-presence engine for one fixed vocabulary.
 
     Compiles the vocabulary once — a frozen exact-match set plus an
     :class:`AhoCorasick` automaton over the substring-eligible terms
     (length >= :data:`~repro.nlp.tokenize.MIN_HASHTAG_SUBSTRING_LEN`) —
     then answers :meth:`present` with one tokenizer sweep, one set probe
     per token, and one automaton sweep per hashtag body.  Semantics are
-    exactly :func:`repro.nlp.tokenize.present_terms` for this term set;
-    the equivalence is property-tested across randomized vocabularies.
+    exactly those of the naive per-term scan kept as the oracle in
+    ``tests/nlp/oracles.py``; the equivalence is property-tested across
+    randomized vocabularies.
 
     Per-text results are memoized (bounded): tweet texts follow a
     heavy-tailed repetition profile, so the steady-state cost of a

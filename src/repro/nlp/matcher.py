@@ -4,12 +4,11 @@ Maps every tweet to the multiset of organs it mentions.  The contingency
 matrix of :mod:`repro.core.attention` is built from these mentions, so the
 matcher's recall/precision directly shapes every downstream result.
 
-Two implementations of the same rules live here: the **automaton fast
-path** (:meth:`OrganMatcher.mentions`), which scans each tweet once via
+:meth:`OrganMatcher.mentions` scans each tweet once via
 :func:`repro.nlp.tokenize.scan_words_hashtags` and resolves glued
-hashtags with one Aho–Corasick sweep, and the **naive reference path**
-(:meth:`OrganMatcher.mentions_naive`), the original per-term scan kept
-as the oracle the property suite checks the fast path against.
+hashtags with one Aho–Corasick sweep.  The property suite checks it
+against a naive per-term scan over the full token stream, kept in the
+tests as the oracle.
 """
 
 from __future__ import annotations
@@ -18,13 +17,7 @@ from collections import Counter
 
 from repro.organs import ALIASES, Organ
 from repro.nlp.automaton import AhoCorasick
-from repro.nlp.tokenize import (
-    Token,
-    TokenKind,
-    scan_words_hashtags,
-    split_compound,
-    tokenize,
-)
+from repro.nlp.tokenize import scan_words_hashtags, split_compound
 
 
 class OrganMatcher:
@@ -48,10 +41,9 @@ class OrganMatcher:
 
     def __init__(self, aliases: dict[str, Organ] | None = None):
         self._aliases = dict(ALIASES if aliases is None else aliases)
-        self._substring_terms = tuple(
+        self._automaton = AhoCorasick(
             term for term in self._aliases if len(term) >= 4
         )
-        self._automaton = AhoCorasick(self._substring_terms)
         self._tag_organs: dict[str, tuple[Organ, ...]] = {}
 
     def mentions(self, text: str) -> Counter[Organ]:
@@ -96,40 +88,6 @@ class OrganMatcher:
         cache[tag] = result
         return result
 
-    def mentions_naive(self, text: str) -> Counter[Organ]:
-        """Count organ mentions via the original per-term scan.
-
-        The reference implementation the automaton path is property-
-        tested against; not used on the pipeline hot path.
-        """
-        counts: Counter[Organ] = Counter()
-        for token in tokenize(text):
-            for organ in self._match_token(token):
-                counts[organ] += 1
-        return counts
-
     def distinct_organs(self, text: str) -> frozenset[Organ]:
         """The set of organs mentioned at least once."""
         return frozenset(self.mentions(text))
-
-    def _match_token(self, token: Token) -> frozenset[Organ]:
-        if token.kind is TokenKind.WORD:
-            organ = self._aliases.get(token.text)
-            if organ is not None:
-                return frozenset((organ,))
-            parts = split_compound(token.text)
-            if parts:
-                return frozenset(
-                    self._aliases[part] for part in parts if part in self._aliases
-                )
-            return frozenset()
-        if token.kind is TokenKind.HASHTAG:
-            organ = self._aliases.get(token.text)
-            if organ is not None:
-                return frozenset((organ,))
-            return frozenset(
-                self._aliases[term]
-                for term in self._substring_terms
-                if term in token.text
-            )
-        return frozenset()

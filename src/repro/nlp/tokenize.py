@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import re
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,9 +61,8 @@ _URL_TRAILING_PUNCTUATION = ")],.!?;:'\"»”’…"
 def tokenize(text: str) -> tuple[Token, ...]:
     """Tokenize tweet text into typed tokens.
 
-    The result is cached — tweet vocabularies repeat heavily, and the
-    pipeline tokenizes every tweet twice (collection filter, then organ
-    matching).
+    The result is cached, because tweet texts repeat heavily.  The
+    matching hot path reads :func:`scan_words_hashtags` instead.
 
     >>> [t.text for t in tokenize("Be an organ donor! #kidney @UNOS")]
     ['be', 'an', 'organ', 'donor', 'kidney', 'unos']
@@ -132,50 +130,7 @@ def split_compound(token_text: str) -> tuple[str, ...]:
     return _EMPTY_PARTS
 
 
-def words(text: str) -> tuple[str, ...]:
-    """Lowercased WORD and HASHTAG token texts, in order."""
-    return tuple(
-        token.text
-        for token in tokenize(text)
-        if token.kind in (TokenKind.WORD, TokenKind.HASHTAG)
-    )
-
-
 #: Minimum term length for substring matching inside hashtag bodies;
 #: mirrors :class:`repro.nlp.matcher.OrganMatcher` so short inflections
 #: cannot fire spuriously.
 MIN_HASHTAG_SUBSTRING_LEN = 4
-
-
-def present_terms(text: str, terms: Iterable[str]) -> set[str]:
-    """Vocabulary terms present in ``text`` under Twitter ``track`` rules.
-
-    A term is present when it equals a WORD or HASHTAG token exactly
-    (hyphen/apostrophe compounds are split, so ``heart-kidney`` yields
-    both ``heart`` and ``kidney``), or — for terms of at least
-    :data:`MIN_HASHTAG_SUBSTRING_LEN` characters — when it appears
-    inside a hashtag body (``#kidneydonor`` contains both ``kidney`` and
-    ``donor``).  Plain words never substring-match: ``organized`` does
-    not contain the term ``organ``, matching how Twitter tokenizes
-    before matching.
-    """
-    word_tokens: set[str] = set()
-    hashtags: list[str] = []
-    for token in tokenize(text):
-        if token.kind is TokenKind.WORD:
-            word_tokens.add(token.text)
-            word_tokens.update(split_compound(token.text))
-        elif token.kind is TokenKind.HASHTAG:
-            word_tokens.add(token.text)
-            hashtags.append(token.text)
-    if not word_tokens:
-        return set()
-    return {
-        term
-        for term in terms
-        if term in word_tokens
-        or (
-            len(term) >= MIN_HASHTAG_SUBSTRING_LEN
-            and any(term in tag for tag in hashtags)
-        )
-    }

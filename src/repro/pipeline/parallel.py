@@ -9,9 +9,10 @@ the results so that the outcome is *indistinguishable* from a serial run:
   ``tweet_id % workers``, so shard membership depends only on the data,
   never on timing or scheduler interleaving.
 * **Per-worker state** — each worker builds its own
-  :class:`~repro.pipeline.batch.Funnel` (track filter, geocoder and
-  matcher) and feeds it 2048-tweet batches; nothing is shared, so there
-  is no cross-process cache coherence to reason about.
+  :class:`~repro.pipeline.batch.Funnel` around the pipeline's geocoder
+  and matcher (inherited under ``fork``, pickled under ``spawn``) and
+  feeds it 2048-tweet batches; each worker's memos are its own, so
+  there is no cross-process cache coherence to reason about.
 * **Ordered merge** — each retained record carries its position in the
   original stream; the merged corpus is sorted by that position, making
   it byte-identical to the serial corpus.
@@ -43,6 +44,8 @@ from repro.config import CollectionConfig
 from repro.dataset.records import CollectedTweet
 from repro.errors import ConfigError
 from repro.faults.compute import WorkerFaultPlan
+from repro.geo.geocoder import Geocoder
+from repro.nlp.matcher import OrganMatcher
 from repro.pipeline.batch import Funnel
 from repro.pipeline.runner import PipelineReport
 from repro.pipeline.wire import decode_shard_result, encode_shard_result
@@ -73,20 +76,29 @@ def shard_by_id(source: Iterable[Tweet], workers: int) -> list[Shard]:
 
 
 def process_shard(
-    shard: Shard, config: CollectionConfig
+    shard: Shard,
+    config: CollectionConfig,
+    geocoder: Geocoder | None = None,
+    matcher: OrganMatcher | None = None,
 ) -> tuple[list[tuple[int, CollectedTweet]], PipelineReport]:
     """Run collect → augment → US-filter over one shard.
 
     Executed inside a worker process: builds its own
-    :class:`~repro.pipeline.batch.Funnel` and returns position-tagged
+    :class:`~repro.pipeline.batch.Funnel` over ``geocoder`` and
+    ``matcher`` (fresh when omitted) and returns position-tagged
     surviving records plus the shard's provenance counters.
     """
     report = PipelineReport()
-    return Funnel(config).process_stream(shard, report), report
+    return Funnel(config, geocoder, matcher).process_stream(shard, report), report
+
+
+#: What every worker needs besides its shard: the collection config, the
+#: pipeline's geocoder and matcher, and whether the parent is tracing.
+ShardContext = tuple[CollectionConfig, Geocoder | None, OrganMatcher | None, bool]
 
 
 def _run_shard(
-    index: int, shard: Shard, config: CollectionConfig, trace_enabled: bool
+    index: int, shard: Shard, context: ShardContext
 ) -> tuple[
     list[tuple[int, CollectedTweet]],
     PipelineReport,
@@ -99,13 +111,14 @@ def _run_shard(
     work is in flight), wraps the shard in a span, and freezes a
     snapshot for the parent to absorb in shard order.
     """
+    config, geocoder, matcher, trace_enabled = context
     if not trace_enabled:
-        records, report = process_shard(shard, config)
+        records, report = process_shard(shard, config, geocoder, matcher)
         return records, report, None
     telemetry = obs.Telemetry(worker=f"shard-{index}")
     with obs.activate(telemetry):
         with telemetry.span("shard", index=index, tweets=len(shard)):
-            records, report = process_shard(shard, config)
+            records, report = process_shard(shard, config, geocoder, matcher)
     telemetry.observe(
         "shard.wall_seconds", telemetry.tracer.spans[-1].duration, shard=index
     )
@@ -119,7 +132,7 @@ def _run_shard(
 #: ``fork`` start method every child inherits this by copy-on-write, so
 #: the dispatch payload shrinks to a bare shard index and no tweet is
 #: ever pickled toward a worker.
-_FORK_STATE: tuple[list[Shard], CollectionConfig, bool] | None = None
+_FORK_STATE: tuple[list[Shard], ShardContext] | None = None
 
 
 def _shard_task_fork(index: int) -> RawResult:
@@ -133,22 +146,16 @@ def _shard_task_fork(index: int) -> RawResult:
     state = _FORK_STATE
     if state is None:  # pragma: no cover - dispatch bug guard
         raise RuntimeError("fork shard state is not set in this process")
-    shards, config, trace_enabled = state
+    shards, context = state
     return RawResult(
-        encode_shard_result(
-            *_run_shard(index, shards[index], config, trace_enabled)
-        )
+        encode_shard_result(*_run_shard(index, shards[index], context))
     )
 
 
-def _shard_task(
-    payload: tuple[int, Shard, CollectionConfig, bool],
-) -> RawResult:
+def _shard_task(payload: tuple[int, Shard, ShardContext]) -> RawResult:
     """Spawn-compatible worker entry point carrying the shard itself."""
-    index, shard, config, trace_enabled = payload
-    return RawResult(
-        encode_shard_result(*_run_shard(index, shard, config, trace_enabled))
-    )
+    index, shard, context = payload
+    return RawResult(encode_shard_result(*_run_shard(index, shard, context)))
 
 
 def run_sharded(
@@ -158,6 +165,8 @@ def run_sharded(
     *,
     policy: SupervisorPolicy | None = None,
     worker_faults: WorkerFaultPlan | None = None,
+    geocoder: Geocoder | None = None,
+    matcher: OrganMatcher | None = None,
 ) -> tuple[list[CollectedTweet], PipelineReport]:
     """Shard ``source`` across supervised workers and merge the results.
 
@@ -167,7 +176,8 @@ def run_sharded(
     no fault plan processes the single shard in-process (no pool), which
     keeps the sharded path testable without multiprocessing overhead;
     otherwise shards run under :func:`repro.supervise.run_supervised` and
-    ``report.compute`` records what the pool survived.
+    ``report.compute`` records what the pool survived.  Every shard's
+    funnel runs over ``geocoder`` and ``matcher`` (fresh when omitted).
 
     A shard quarantined after exhausting its retries (a poison shard) is
     an explicit, named gap: its records are absent, the merged counters
@@ -184,16 +194,17 @@ def run_sharded(
     results: list[tuple[list[tuple[int, CollectedTweet]], PipelineReport]]
     if workers == 1 and policy is None and worker_faults is None:
         with telemetry.span("shard", index=0, tweets=len(shards[0])):
-            results = [process_shard(shards[0], config)]
+            results = [process_shard(shards[0], config, geocoder, matcher)]
     else:
         global _FORK_STATE
         labels = [f"shard {index}" for index in range(len(shards))]
         fork = pick_start_method() == "fork"
         outcomes: list[RawResult | None]
+        context: ShardContext = (config, geocoder, matcher, telemetry.enabled)
         if fork:
             # Slim dispatch: workers inherit the shards via fork and
             # receive only their index over the pipe.
-            _FORK_STATE = (shards, config, telemetry.enabled)
+            _FORK_STATE = (shards, context)
             try:
                 outcomes, health = run_supervised(
                     _shard_task_fork,
@@ -208,10 +219,7 @@ def run_sharded(
         else:  # pragma: no cover - non-fork platforms only
             outcomes, health = run_supervised(
                 _shard_task,
-                [
-                    (index, shard, config, telemetry.enabled)
-                    for index, shard in enumerate(shards)
-                ],
+                [(index, shard, context) for index, shard in enumerate(shards)],
                 workers=workers,
                 policy=policy,
                 fault_plan=worker_faults,

@@ -274,6 +274,8 @@ class CollectionPipeline:
                     workers,
                     policy=supervisor,
                     worker_faults=worker_faults,
+                    geocoder=self.geocoder,
+                    matcher=self.matcher,
                 )
         else:
             with telemetry.span(

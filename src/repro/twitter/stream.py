@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 
 from repro.nlp.automaton import TermVocabulary
-from repro.nlp.tokenize import present_terms
 from repro.twitter.errors import InvalidTrackError, StreamClosedError
 from repro.twitter.models import Tweet
 
@@ -24,8 +23,7 @@ class TrackFilter:
     tokenizer sweep + one automaton sweep per hashtag, instead of a
     Python loop over every vocabulary term), and phrases are indexed by
     an *anchor* term so only phrases whose anchor is present are subset-
-    checked.  :meth:`matches_naive` keeps the original per-term scan as
-    the equivalence oracle.
+    checked.
 
     Args:
         phrases: Track phrases; each phrase's space-separated terms must all
@@ -43,19 +41,18 @@ class TrackFilter:
         if any(not terms for terms in parsed):
             raise InvalidTrackError("track phrase list contains a blank phrase")
         self._phrases: tuple[tuple[str, ...], ...] = tuple(parsed)
-        self._phrase_sets = tuple(frozenset(terms) for terms in parsed)
         # Terms are tested for presence once per tweet; phrases are then
         # checked as subset tests against the present-term set.
-        self._vocabulary = tuple(
-            sorted({term for terms in self._phrases for term in terms})
+        self._term_vocabulary = TermVocabulary(
+            term for terms in parsed for term in terms
         )
-        self._term_vocabulary = TermVocabulary(self._vocabulary)
         # A phrase can only match when its anchor term (lexicographic
         # minimum — any fixed member works) is present, so the per-tweet
         # subset checks shrink from every phrase to the phrases anchored
         # on a present term.
         anchored: dict[str, list[frozenset[str]]] = {}
-        for phrase_set in self._phrase_sets:
+        for terms in parsed:
+            phrase_set = frozenset(terms)
             anchored.setdefault(min(phrase_set), []).append(phrase_set)
         self._phrases_by_anchor = {
             anchor: tuple(sets) for anchor, sets in anchored.items()
@@ -82,17 +79,6 @@ class TrackFilter:
                 if phrase_set <= present:
                     return True
         return False
-
-    def matches_naive(self, text: str) -> bool:
-        """Reference implementation via :func:`present_terms`.
-
-        Kept off the hot path as the oracle the automaton path is
-        property-tested against.
-        """
-        present = present_terms(text, self._vocabulary)
-        if not present:
-            return False
-        return any(terms <= present for terms in self._phrase_sets)
 
 
 class FilteredStream:

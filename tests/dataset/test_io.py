@@ -1,5 +1,9 @@
 """Tests for JSONL persistence."""
 
+import itertools
+import json
+from datetime import datetime, timedelta, timezone
+
 import pytest
 
 from repro.dataset.io import read_jsonl, write_jsonl
@@ -7,7 +11,7 @@ from repro.dataset.records import CollectedTweet
 from repro.errors import SerializationError
 from repro.geo.geocoder import GeoMatch
 from repro.organs import Organ
-from repro.twitter.models import Tweet, UserProfile
+from repro.twitter.models import Place, Tweet, UserProfile
 
 
 def records(n: int) -> list[CollectedTweet]:
@@ -226,3 +230,76 @@ class TestTweetsTornTail:
             assert list(
                 read_tweets_jsonl(path, tolerate_torn_tail=True)
             ) == tweets
+
+
+def varied_records(n: int) -> list[CollectedTweet]:
+    """Records cycling through every field shape the writers encode.
+
+    Non-ASCII and escape-heavy text, ``None`` fields (no place, no
+    reply, no state), US and foreign geo-tag places, GPS-located and
+    profile-located matches, and multi-organ mention dicts.
+    """
+    texts = (
+        "kidney donor tweet",
+        "donante de riñón 🙏 ❤ — “thank you”",
+        'quote " backslash \\ tab \t newline \n bell \x07 end',
+        "line\u2028separator and \u00e9t\u00e9 #OrganDonor",
+        "",
+    )
+    places = (None, Place("Wichita, KS", "US"), Place("São Paulo", "BR"))
+    matches = (
+        GeoMatch("US", "KS", 1.0, "gps"),
+        GeoMatch("US", "NY", 0.95, "comma-abbrev"),
+        GeoMatch("US", None, 0.9, "gps"),
+    )
+    mentions = (
+        {Organ.KIDNEY: 1},
+        {Organ.LIVER: 2, Organ.HEART: 1},
+        dict.fromkeys(Organ, 1),
+    )
+    shapes = itertools.product(texts, places, matches, (None, 7), mentions)
+    start = datetime(2015, 4, 22, tzinfo=timezone.utc)
+    return [
+        CollectedTweet(
+            tweet=Tweet(
+                tweet_id=10_000 + i,
+                user=UserProfile(i % 17, f"usuário{i % 17}", ("Montréal, QC", "")[i % 2]),
+                text=f"{text} {i}",
+                created_at=start + timedelta(seconds=37 * i, microseconds=i % 2),
+                place=place,
+                in_reply_to=None if reply is None else reply + i,
+            ),
+            location=match,
+            mentions=organs,
+        )
+        for i, (text, place, match, reply, organs) in zip(
+            range(n), itertools.cycle(shapes)
+        )
+    ]
+
+
+class TestWriteFormat:
+    """The writers' bytes are exactly one ``json.dumps`` line per record.
+
+    The plain encoding is the format every reader and manifest depends
+    on; the durable write path (temp file, fsyncs, rename, integrity
+    sidecar) must not change a byte of it.
+    """
+
+    @pytest.mark.parametrize("kind", ["corpus", "firehose"])
+    def test_bytes_equal_plain_lines(self, tmp_path, kind):
+        from repro.dataset.io import read_tweets_jsonl, write_tweets_jsonl
+        from repro.storage.manifest import verify_file
+
+        items, write, read = (varied_records(500), write_jsonl, read_jsonl)
+        if kind == "firehose":
+            items = [record.tweet for record in items]
+            write, read = write_tweets_jsonl, read_tweets_jsonl
+        path = tmp_path / f"{kind}.jsonl"
+        assert write(items, path) == 500
+        expected = "".join(
+            json.dumps(item.to_dict(), ensure_ascii=False) + "\n" for item in items
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert verify_file(path).ok
+        assert list(read(path)) == items

@@ -33,7 +33,7 @@ def _virtual_path(name: str) -> Path:
     if "_cli_" in name:
         return Path("src/repro/cli") / name
     if "_bench_" in name:
-        return Path("benchmarks/perf") / name
+        return Path("benchmarks") / name
     return Path("src/repro") / name
 
 
@@ -70,7 +70,9 @@ def test_rng_and_assert_rules_exempt_test_code() -> None:
 
 def test_wallclock_rule_exempts_benchmarks() -> None:
     source = "import time\nstarted = time.perf_counter()\n"
-    assert lint_source(source, Path("benchmarks/perf/harness.py")) == []
+    assert lint_source(source, Path("benchmarks/test_bench_fig2.py")) == []
+    # Not test-named, so only the benchmark exemption applies.
+    assert lint_source(source, Path("benchmarks/timing.py")) == []
     assert lint_source(source, Path("src/repro/pipeline/mod.py")) != []
 
 

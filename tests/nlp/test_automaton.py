@@ -3,7 +3,7 @@
 import pytest
 
 from repro.nlp.automaton import AhoCorasick, TermVocabulary
-from repro.nlp.tokenize import present_terms
+from tests.nlp.oracles import present_terms
 
 
 class TestAhoCorasick:

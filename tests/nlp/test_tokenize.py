@@ -8,8 +8,8 @@ from repro.nlp.tokenize import (
     scan_words_hashtags,
     split_compound,
     tokenize,
-    words,
 )
+from tests.nlp.oracles import words_and_hashtags
 
 
 class TestBasicTokenization:
@@ -64,14 +64,6 @@ class TestTwitterEntities:
         assert TokenKind.URL in kinds
 
 
-class TestWordsHelper:
-    def test_words_includes_hashtags(self):
-        assert words("organ #donor") == ("organ", "donor")
-
-    def test_words_excludes_mentions_urls_numbers(self):
-        assert words("@unos 42 https://x.co organ") == ("organ",)
-
-
 class TestUrlTrailingPunctuation:
     @pytest.mark.parametrize(
         "text, expected_url",
@@ -112,11 +104,7 @@ class TestScanWordsHashtags:
         ],
     )
     def test_agrees_with_tokenize(self, text):
-        tokens = tokenize(text)
-        assert scan_words_hashtags(text) == (
-            tuple(t.text for t in tokens if t.kind is TokenKind.WORD),
-            tuple(t.text for t in tokens if t.kind is TokenKind.HASHTAG),
-        )
+        assert scan_words_hashtags(text) == words_and_hashtags(text)
 
 
 class TestSplitCompound:

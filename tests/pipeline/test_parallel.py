@@ -6,8 +6,13 @@ import pytest
 
 from repro.config import CollectionConfig
 from repro.errors import ConfigError, PipelineError
+from repro.faults.compute import WorkerFaultPlan
+from repro.geo.geocoder import Geocoder, GeoMatch
+from repro.nlp.matcher import OrganMatcher
+from repro.organs import Organ
 from repro.pipeline.parallel import process_shard, run_sharded, shard_by_id
 from repro.pipeline.runner import CollectionPipeline, PipelineReport
+from repro.supervise import SupervisorPolicy
 from repro.twitter.models import Tweet, UserProfile
 from repro.twitter.resilient import ReliabilityReport
 
@@ -167,3 +172,67 @@ class TestRunSharded:
         records, __ = run_sharded(source, CollectionConfig(), 3)
         ids = [record.tweet.tweet_id for record in records]
         assert ids == sorted(ids)
+
+
+class EverywhereIsKansas(Geocoder):
+    """A custom geocoder: every profile location resolves to Kansas."""
+
+    def geocode(self, location: str) -> GeoMatch:
+        return GeoMatch("US", "KS", 0.5, "test")
+
+
+#: Sharded runs that must honour the pipeline's own geocoder and matcher.
+SHARDED_RUNS = {
+    "workers=1": {"workers": 1, "supervisor": SupervisorPolicy()},
+    "workers=2": {"workers": 2},
+    "chaos": {
+        "workers": 2,
+        "supervisor": SupervisorPolicy(max_retries=2),
+        "worker_faults": WorkerFaultPlan.chaos(seed=5),
+    },
+}
+
+
+class TestPipelineComponentsReachWorkers:
+    """A sharded run uses the pipeline's geocoder and matcher, not defaults."""
+
+    @pytest.mark.parametrize("run", SHARDED_RUNS, ids=str)
+    def test_custom_matcher(self, run):
+        pipeline = CollectionPipeline(
+            matcher=OrganMatcher(aliases={"liver": Organ.LIVER})
+        )
+        source = [
+            tweet(f"{organ} donor", "Wichita, KS", i)
+            for i, organ in enumerate(("liver", "kidney", "heart"))
+        ]
+        serial_corpus, serial_report = pipeline.run(source)
+        assert serial_report.retained == 1
+        assert serial_report.no_mentions == 2
+        corpus, report = pipeline.run(source, **SHARDED_RUNS[run])
+        assert corpus_bytes(corpus) == corpus_bytes(serial_corpus)
+        report.compute = None
+        assert report == serial_report
+
+    @pytest.mark.parametrize("run", SHARDED_RUNS, ids=str)
+    def test_custom_geocoder(self, run):
+        pipeline = CollectionPipeline(geocoder=EverywhereIsKansas())
+        source = [
+            tweet("kidney donor", location, i)
+            for i, location in enumerate(("London", "the moon", "Paris"))
+        ]
+        serial_corpus, serial_report = pipeline.run(source)
+        assert serial_report.retained == 3
+        corpus, report = pipeline.run(source, **SHARDED_RUNS[run])
+        assert corpus_bytes(corpus) == corpus_bytes(serial_corpus)
+        report.compute = None
+        assert report == serial_report
+
+    def test_in_process_single_shard(self):
+        records, report = run_sharded(
+            [tweet("kidney donor", "Wichita, KS", 0)],
+            CollectionConfig(),
+            1,
+            matcher=OrganMatcher(aliases={"liver": Organ.LIVER}),
+        )
+        assert records == []
+        assert report.no_mentions == 1

@@ -1,16 +1,20 @@
-"""Property tests: the automaton hot path ≡ the naive reference scans.
+"""Property tests: the hot path ≡ the naive reference scans.
 
-Three equivalences, each locked over randomized inputs:
+Four equivalences, each locked over randomized inputs and over the
+distinct texts of a small synthetic firehose:
 
+* :func:`scan_words_hashtags` ≡ :func:`words_and_hashtags`, the
+  WORD/HASHTAG projection of :func:`tokenize`;
 * :meth:`TermVocabulary.present` ≡ :func:`present_terms` for randomized
   vocabularies with deliberately overlapping terms (``organ`` inside
   ``organdonor``) against texts that glue those terms into hashtags;
-* :meth:`TrackFilter.matches` ≡ :meth:`TrackFilter.matches_naive` on the
-  production track phrases;
-* :meth:`OrganMatcher.mentions` ≡ :meth:`OrganMatcher.mentions_naive`.
+* :meth:`TrackFilter.matches` ≡ :func:`track_matches` on the production
+  track phrases;
+* :meth:`OrganMatcher.mentions` ≡ :func:`organ_mentions`.
 
-The randomized-vocabulary suite runs under three fixed seeds so a
-regression reproduces deterministically from the failing test id alone.
+The oracles live in :mod:`tests.nlp.oracles`.  The randomized suites
+run under three fixed seeds so a regression reproduces
+deterministically from the failing test id alone.
 """
 
 import random
@@ -22,18 +26,21 @@ from hypothesis import strategies as st
 
 from repro.config import CollectionConfig
 from repro.nlp.automaton import TermVocabulary
-from repro.nlp.keywords import build_query_set, track_phrases
 from repro.nlp.matcher import OrganMatcher
-from repro.nlp.tokenize import present_terms
-from repro.twitter.stream import TrackFilter
+from repro.nlp.tokenize import scan_words_hashtags
+from repro.organs import ALIASES
+from repro.pipeline.collect import track_filter
+from repro.synth.scenarios import paper2016_scenario
+from repro.synth.world import SyntheticWorld
+from tests.nlp.oracles import (
+    organ_mentions,
+    present_terms,
+    track_matches,
+    words_and_hashtags,
+)
 
 _MATCHER = OrganMatcher()
-_CONFIG = CollectionConfig()
-_TRACK = TrackFilter(
-    track_phrases(
-        build_query_set(_CONFIG.context_terms, _CONFIG.subject_terms)
-    )
-)
+_TRACK = track_filter(CollectionConfig())
 
 tweet_text = st.text(
     alphabet=string.ascii_letters + string.digits + " #@.,'!-:/🙏❤🌍",
@@ -47,6 +54,15 @@ _STEMS = (
     "donatelife", "kidney", "kidneydonor", "heart", "hearttransplant",
     "art", "ran", "transplant",
 )
+
+
+@pytest.fixture(scope="module")
+def firehose_texts() -> list[str]:
+    """The first 2,000 distinct texts of a small synthetic firehose."""
+    world = SyntheticWorld(paper2016_scenario(scale=0.015, seed=7))
+    texts = list(dict.fromkeys(tweet.text for tweet in world.firehose()))
+    assert len(texts) >= 2_000
+    return texts[:2_000]
 
 
 def _random_vocabulary(rng: random.Random) -> list[str]:
@@ -81,6 +97,33 @@ def _random_text(rng: random.Random, vocabulary: list[str]) -> str:
     return " ".join(pieces)
 
 
+class TestTokenizerEquivalence:
+    @given(st.one_of(tweet_text, st.text(max_size=200)))
+    @settings(max_examples=400)
+    def test_scan_equals_tokenize_projection(self, text):
+        assert scan_words_hashtags(text) == words_and_hashtags(text)
+
+
+class TestSyntheticFirehoseTexts:
+    def test_scan_equals_tokenize_projection(self, firehose_texts):
+        for text in firehose_texts:
+            assert scan_words_hashtags(text) == words_and_hashtags(text), (
+                f"divergence on text={text!r}"
+            )
+
+    def test_track_filter_equals_naive(self, firehose_texts):
+        for text in firehose_texts:
+            assert _TRACK.matches(text) == track_matches(_TRACK, text), (
+                f"divergence on text={text!r}"
+            )
+
+    def test_matcher_equals_naive(self, firehose_texts):
+        for text in firehose_texts:
+            assert _MATCHER.mentions(text) == organ_mentions(ALIASES, text), (
+                f"divergence on text={text!r}"
+            )
+
+
 class TestVocabularyEquivalence:
     @pytest.mark.parametrize("seed", [11, 22, 33])
     def test_randomized_vocabularies_match_naive(self, seed):
@@ -111,7 +154,7 @@ class TestTrackFilterEquivalence:
     @given(tweet_text)
     @settings(max_examples=200)
     def test_matches_equals_naive(self, text):
-        assert _TRACK.matches(text) == _TRACK.matches_naive(text)
+        assert _TRACK.matches(text) == track_matches(_TRACK, text)
 
     @pytest.mark.parametrize("seed", [11, 22, 33])
     def test_randomized_texts_over_production_phrases(self, seed):
@@ -119,7 +162,7 @@ class TestTrackFilterEquivalence:
         vocabulary = list(_STEMS)
         for __ in range(300):
             text = _random_text(rng, vocabulary)
-            assert _TRACK.matches(text) == _TRACK.matches_naive(text), (
+            assert _TRACK.matches(text) == track_matches(_TRACK, text), (
                 f"divergence on text={text!r}"
             )
 
@@ -128,7 +171,7 @@ class TestMatcherEquivalence:
     @given(tweet_text)
     @settings(max_examples=200)
     def test_mentions_equals_naive(self, text):
-        assert _MATCHER.mentions(text) == _MATCHER.mentions_naive(text)
+        assert _MATCHER.mentions(text) == organ_mentions(ALIASES, text)
 
     @pytest.mark.parametrize("seed", [11, 22, 33])
     def test_randomized_organ_texts(self, seed):
@@ -136,6 +179,6 @@ class TestMatcherEquivalence:
         vocabulary = ["kidney", "liver", "heart", "lung", "pancreas", "cornea"]
         for __ in range(300):
             text = _random_text(rng, vocabulary)
-            assert _MATCHER.mentions(text) == _MATCHER.mentions_naive(text), (
+            assert _MATCHER.mentions(text) == organ_mentions(ALIASES, text), (
                 f"divergence on text={text!r}"
             )

@@ -4,7 +4,8 @@ The supervised pool's headline guarantee, one layer below the transport:
 for every fan-out site — the sharded pipeline, K-Means restarts, and the
 k-sweep — the output under injected *worker* faults (crashes, hangs,
 exception storms, slow tasks) is byte-identical to the serial,
-fault-free run, for any worker count and any seed.  Poison tasks never
+fault-free run, for any worker count and any seed; so is the fault-free
+supervised run at one worker.  Poison tasks never
 produce silent gaps: the pipeline degrades explicitly via ``RunHealth``
 and the clustering sites refuse to fit at all.
 """
@@ -58,15 +59,20 @@ def make_attention(seed: int, users: int = 120) -> AttentionMatrix:
 
 class TestPipelineUnderWorkerChaos:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_chaos_corpus_is_byte_identical_to_serial(self, seed, workers):
+    @pytest.mark.parametrize(
+        "workers, chaos",
+        [(workers, True) for workers in WORKER_COUNTS] + [(1, False)],
+    )
+    def test_chaos_corpus_is_byte_identical_to_serial(
+        self, seed, workers, chaos
+    ):
         source = make_firehose(seed)
         serial_corpus, __ = CollectionPipeline().run(source)
         corpus, report = CollectionPipeline().run(
             source,
             workers=workers,
-            supervisor=CHAOS_POLICY,
-            worker_faults=WorkerFaultPlan.chaos(seed=seed),
+            supervisor=CHAOS_POLICY if chaos else SupervisorPolicy(),
+            worker_faults=WorkerFaultPlan.chaos(seed=seed) if chaos else None,
         )
         assert corpus_bytes(corpus) == corpus_bytes(serial_corpus)
         assert report.compute is not None

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import json
 
+from repro.dataset.io import write_jsonl
+from repro.dataset.records import CollectedTweet
 from repro.faults.load import LoadFaultPlan
+from repro.geo.geocoder import GeoMatch
+from repro.organs import ORGANS
+from repro.serve.artifacts import ArtifactCache
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.breaker import BreakerPolicy
 from repro.serve.degrade import BrownoutPolicy
@@ -16,6 +21,7 @@ from repro.serve.service import (
     read_requests_jsonl,
     write_responses_jsonl,
 )
+from repro.twitter.models import Tweet, UserProfile
 
 
 def request(
@@ -292,6 +298,78 @@ class TestOverloadBehaviour:
         assert result.report.max_brownout_level >= 1
         assert result.report.degraded > 0
         assert result.report.accounted
+
+
+class TestOfferedLoadSchedule:
+    """480 requests at 1x, 4x and 16x the admission refill rate.
+
+    Arrivals are evenly spaced; the mix cycles the three analysis
+    queries with a health probe on every eighth request, over a
+    3,000-record corpus located in Kansas.  The clock is simulated, so
+    every count is exact.  One :class:`ArtifactCache` is shared by the
+    three services, as in a long-lived deployment; each service still
+    pays its own simulated loads.
+    """
+
+    #: factor -> (completed, shed, degraded)
+    EXPECTED = {1: (446, 34, 382), 4: (125, 355, 61), 16: (121, 359, 57)}
+
+    @staticmethod
+    def schedule(factor: int, policy: ServicePolicy) -> list[QueryRequest]:
+        kinds = ("state_signature", "relative_risk", "cluster_profile")
+        rate = policy.admission.refill_per_second * factor
+        requests = []
+        for i in range(480):
+            kind = "health" if i % 8 == 0 else kinds[i % 3]
+            params: tuple[tuple[str, str], ...] = ()
+            if kind == "cluster_profile":
+                params = (("cluster", str(i % policy.cluster_k)),)
+            elif kind != "health":
+                params = (("state", "KS"),)
+            requests.append(
+                QueryRequest(
+                    request_id=f"load-{factor}x-{i}",
+                    kind=kind,
+                    arrival=round(i / rate, 9),
+                    params=params,
+                )
+            )
+        return requests
+
+    def test_shed_schedule_is_exact(self, tmp_path):
+        organs = [ORGANS[i % len(ORGANS)] for i in range(3_000)]
+        records = [
+            CollectedTweet(
+                tweet=Tweet(
+                    tweet_id=i,
+                    user=UserProfile(i % 997, f"user{i % 997}", "Wichita, KS"),
+                    text=f"{organ.value} donor update {i}",
+                ),
+                location=GeoMatch("US", "KS", 0.9, "profile"),
+                mentions={organ: 1},
+            )
+            for i, organ in enumerate(organs)
+        ]
+        write_jsonl(records, tmp_path / "corpus.jsonl")
+        cache = ArtifactCache()
+        for factor, (completed, shed, degraded) in self.EXPECTED.items():
+            policy = ServicePolicy()
+            requests = self.schedule(factor, policy)
+            service = QueryService(tmp_path, policy=policy, cache=cache)
+            result = service.serve(requests)
+            report = result.report
+            assert report.accounted
+            assert (
+                report.submitted, report.completed, report.shed,
+                report.degraded, report.expired, report.dead_lettered,
+                report.max_brownout_level, report.artifact_loads,
+            ) == (480, completed, shed, degraded, 0, 0, 2, 4), f"{factor}x"
+            health = {r.request_id for r in requests if r.kind == "health"}
+            assert all(
+                response.outcome is not Outcome.REJECTED
+                for response in result.responses
+                if response.request_id in health
+            )
 
 
 class TestStorms:
