@@ -10,10 +10,6 @@ from __future__ import annotations
 import argparse
 from datetime import timedelta
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serve import ArtifactCache
 
 from repro.config import (
     AnalysisConfig,
@@ -235,22 +231,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Process-wide artifact cache shared by every ``repro serve`` in this
-#: interpreter.  Keyed by corpus generation (manifest sha256), so a
-#: regenerated run directory can never be served stale artifacts; lazy so
-#: importing the CLI never pulls in the serving stack.
-_SERVE_CACHE: "ArtifactCache | None" = None
-
-
-def _serve_cache() -> "ArtifactCache":
-    global _SERVE_CACHE
-    if _SERVE_CACHE is None:
-        from repro.serve import ArtifactCache
-
-        _SERVE_CACHE = ArtifactCache()
-    return _SERVE_CACHE
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve analysis queries from a run directory, overload-protected."""
     from repro.faults.load import LoadFaultPlan
@@ -283,7 +263,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         requests, malformed = read_requests_jsonl(requests_path)
         with activate(telemetry):
-            service = QueryService(run_dir, plan=plan, cache=_serve_cache())
+            service = QueryService(run_dir, plan=plan)
             result = service.serve(requests, malformed)
         count = write_responses_jsonl(result.responses, output)
     except (ReproError, OSError) as exc:

@@ -5,93 +5,31 @@ tweet datasets are stored in practice.  Two record kinds are supported:
 raw :class:`~repro.twitter.models.Tweet` firehoses
 (:func:`write_tweets_jsonl` / :func:`read_tweets_jsonl`) and
 pipeline-surviving :class:`~repro.dataset.records.CollectedTweet` corpora
-(:func:`write_jsonl` / :func:`read_jsonl`).  Reading is strict: a
-malformed line raises :class:`repro.errors.SerializationError` with the
-line number.
+(:func:`write_jsonl` / :func:`read_jsonl`).  Each line is the record's
+``to_json()``.  Reading is strict: a malformed line raises
+:class:`repro.errors.SerializationError` with the line number.
 
-Writing goes through :class:`repro.storage.atomic.AtomicWriter`: the
-new file is streamed to a temp sibling, fsynced, and renamed over the
-destination — a crash mid-write can never destroy an existing corpus.
-Each write also leaves a :mod:`repro.storage.manifest` integrity
-sidecar (whole-file SHA-256 + per-record CRC32), built in the same
-streaming pass, so ``repro scrub`` can detect bitrot later.
+Both kinds go through the one durable JSONL codec,
+:mod:`repro.storage.jsonl`: the new file is streamed to a temp sibling,
+fsynced, and renamed over the destination — a crash mid-write can never
+destroy an existing corpus — and each write leaves an integrity sidecar
+built in the same streaming pass, so ``repro scrub`` can detect bitrot
+later.
 """
 
 from __future__ import annotations
 
-import json
-import warnings
 from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import IO, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.dataset.records import CollectedTweet
 from repro.errors import SerializationError
-from repro.storage.atomic import AtomicWriter
 from repro.storage.fs import FileSystem
-from repro.storage.manifest import Manifest, record_crc, write_manifest
-
-#: Chunk size for the torn-tail probe: large enough to cross any
-#: plausible run of trailing whitespace in one or two reads, small
-#: enough never to slurp a multi-GB remainder.
-_TAIL_PROBE_BYTES = 64 * 1024
-
-
-def _is_torn_tail(handle: IO[str]) -> bool:
-    """True when only whitespace follows the handle's position.
-
-    Called after a malformed line: if nothing but whitespace follows,
-    the failure is a torn trailing line (a crash mid-append), not
-    corpus-wide corruption.  Reads in bounded chunks so a malformed
-    line early in a huge corpus does not pull the whole remainder into
-    memory just to learn it is mid-file.
-    """
-    while True:
-        chunk = handle.read(_TAIL_PROBE_BYTES)
-        if not chunk:
-            return True
-        if chunk.strip():
-            return False
+from repro.storage.jsonl import read_objects_jsonl, write_jsonl_lines
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.twitter.models import Tweet
-
-
-def _write_records_jsonl(
-    dicts: Iterable[dict[str, object]],
-    path: str | Path,
-    *,
-    fs: FileSystem | None,
-    manifest: bool,
-) -> int:
-    """Stream dicts as JSONL through one atomic write; returns the count.
-
-    Hashes and CRCs are accumulated during the same single iteration
-    (sources may be one-shot generators), so the sidecar costs no
-    second pass over the data.
-    """
-    count = 0
-    crcs: list[int] = []
-    with AtomicWriter(path, fs=fs) as writer:
-        for data in dicts:
-            line = json.dumps(data, ensure_ascii=False)
-            writer.write(line)
-            writer.write("\n")
-            if manifest:
-                crcs.append(record_crc(line))
-            count += 1
-    if manifest:
-        write_manifest(
-            path,
-            Manifest(
-                file=Path(path).name,
-                sha256=writer.sha256_hex,
-                size_bytes=writer.bytes_written,
-                record_crcs=tuple(crcs),
-            ),
-            fs=fs,
-        )
-    return count
 
 
 def write_jsonl(
@@ -99,16 +37,13 @@ def write_jsonl(
     path: str | Path,
     *,
     fs: FileSystem | None = None,
-    manifest: bool = True,
 ) -> int:
     """Atomically write records to a JSONL file; returns the number written.
 
     An existing file at ``path`` survives any crash mid-write: the old
     content is only replaced once the new content is fully on disk.
     """
-    return _write_records_jsonl(
-        (record.to_dict() for record in records), path, fs=fs, manifest=manifest
-    )
+    return write_jsonl_lines((record.to_json() for record in records), path, fs=fs)
 
 
 def write_tweets_jsonl(
@@ -116,57 +51,9 @@ def write_tweets_jsonl(
     path: str | Path,
     *,
     fs: FileSystem | None = None,
-    manifest: bool = True,
 ) -> int:
     """Atomically write raw tweets (a firehose) to JSONL; returns the count."""
-    return _write_records_jsonl(
-        (tweet.to_dict() for tweet in tweets), path, fs=fs, manifest=manifest
-    )
-
-
-def read_objects_jsonl(
-    path: str | Path, tolerate_torn_tail: bool = False
-) -> Iterator[tuple[int, dict[str, object]]]:
-    """Stream ``(line_number, parsed object)`` pairs from a JSONL file.
-
-    The generic reader under every typed JSONL loader in the tree —
-    tweets, corpora, and telemetry traces all share its torn-tail
-    policy: with ``tolerate_torn_tail``, a malformed *final* line (the
-    signature of a crash mid-append) is skipped with a warning instead
-    of failing the whole file, while a malformed line with records
-    after it still raises — that is corruption, not a torn tail.  The
-    tail probe reads bounded chunks, so a malformed line early in a
-    huge file never slurps the remainder into memory.
-
-    Raises:
-        SerializationError: on the first malformed line, with its
-            1-based line number.
-    """
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if tolerate_torn_tail and _is_torn_tail(handle):
-                    warnings.warn(
-                        f"{path}:{line_number}: torn trailing record "
-                        "(crash mid-write?); rewound to the last complete "
-                        "line",
-                        stacklevel=2,
-                    )
-                    return
-                raise SerializationError(
-                    f"{path}:{line_number}: invalid JSON: {exc}"
-                ) from exc
-            if not isinstance(data, dict):
-                raise SerializationError(
-                    f"{path}:{line_number}: expected a JSON object, got "
-                    f"{type(data).__name__}"
-                )
-            yield line_number, data
+    return write_jsonl_lines((tweet.to_json() for tweet in tweets), path, fs=fs)
 
 
 def read_tweets_jsonl(

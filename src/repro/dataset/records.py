@@ -8,6 +8,7 @@ extracted.  Mentions are stored on the record because every analysis in
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any
 
@@ -64,6 +65,10 @@ class CollectedTweet:
                 )
             },
         }
+
+    def to_json(self) -> str:
+        """This record as one corpus line (no trailing newline)."""
+        return json.dumps(self.to_dict(), ensure_ascii=False)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CollectedTweet":

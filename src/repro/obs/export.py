@@ -11,10 +11,12 @@ makes two equal-telemetry runs byte-comparable:
 
 Writes go through :class:`repro.storage.atomic.AtomicWriter` — the one
 sanctioned write primitive — so a crash mid-export can never tear an
-existing trace file.  Reads reuse the corpus reader's bounded
-torn-tail probe (:func:`repro.dataset.io.read_objects_jsonl`): a trace
-whose process died mid-flush still parses up to its last complete
-line.
+existing trace file.  Unlike the record files of
+:mod:`repro.storage.jsonl`, a trace gets no integrity sidecar, so a
+traced run directory differs from an untraced one by ``trace.jsonl``
+alone.  Reads go through the one JSONL reader and its bounded torn-tail
+probe (:func:`repro.storage.jsonl.read_objects_jsonl`): a trace whose
+process died mid-flush still parses up to its last complete line.
 
 This module imports :mod:`repro.storage`, and :mod:`repro.storage`
 imports :mod:`repro.obs.telemetry` — which is why ``repro.obs``'s
@@ -28,10 +30,10 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.dataset.io import read_objects_jsonl
 from repro.obs.telemetry import Telemetry
 from repro.storage.atomic import AtomicWriter
 from repro.storage.fs import FileSystem
+from repro.storage.jsonl import read_objects_jsonl
 
 #: Version stamped into (and required of) every trace file's meta line.
 TRACE_SCHEMA = 1

@@ -46,6 +46,7 @@ from repro.errors import PipelineError, SerializationError
 from repro.pipeline.batch import Funnel
 from repro.pipeline.runner import PipelineReport
 from repro.storage.fs import LOCAL_FS, FileSystem
+from repro.storage.jsonl import read_objects_jsonl
 from repro.storage.manifest import (
     build_manifest,
     write_manifest,
@@ -202,22 +203,18 @@ class IncrementalCollector:
         total = 0
         adopted = 0
         max_id = self.checkpoint.last_tweet_id
-        with open(self.corpus_path, encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    tweet_id = int(json.loads(line)["tweet"]["tweet_id"])
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise SerializationError(
-                        f"{self.corpus_path}:{line_number}: corrupt record "
-                        f"during crash recovery: {exc}"
-                    ) from exc
-                total += 1
-                if tweet_id > max_id:
-                    adopted += 1
-                    max_id = tweet_id
+        for line_number, data in read_objects_jsonl(self.corpus_path):
+            try:
+                tweet_id = int(data["tweet"]["tweet_id"])  # type: ignore[index]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SerializationError(
+                    f"{self.corpus_path}:{line_number}: corrupt record "
+                    f"during crash recovery: {exc}"
+                ) from exc
+            total += 1
+            if tweet_id > max_id:
+                adopted += 1
+                max_id = tweet_id
         if total < self.checkpoint.retained:
             warnings.warn(
                 f"corpus holds {total} record(s) but the checkpoint claims "
@@ -330,9 +327,7 @@ class IncrementalCollector:
                     continue  # already processed in a previous run
                 self.checkpoint.seen += 1
                 for __, record in process([(0, tweet)], self.report):
-                    sink.write(
-                        json.dumps(record.to_dict(), ensure_ascii=False)
-                    )
+                    sink.write(record.to_json())
                     sink.write("\n")
                     self.checkpoint.retained += 1
                     written += 1

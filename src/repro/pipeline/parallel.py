@@ -21,9 +21,10 @@ the results so that the outcome is *indistinguishable* from a serial run:
   disjoint shards, so totals equal the serial run exactly.
 * **Slim IPC** — under the ``fork`` start method workers inherit the
   shard lists by copy-on-write and are dispatched a bare shard *index*;
-  results come back as raw JSON-line frames
-  (:mod:`repro.pipeline.wire`) via the supervisor's tagged-bytes path,
-  so no tweet object graph is pickled in either direction.
+  each result comes back as one wire frame of corpus lines
+  (:mod:`repro.pipeline.wire`), a ``bytes`` value the supervisor
+  pickles as-is, so no tweet object graph is pickled in either
+  direction.
 
 *Transport*-level fault injection / resilient consumption happens in the
 parent *before* sharding (a reconnecting stream is inherently a single
@@ -50,7 +51,7 @@ from repro.pipeline.batch import Funnel
 from repro.pipeline.runner import PipelineReport
 from repro.pipeline.wire import decode_shard_result, encode_shard_result
 from repro.procpool import pick_start_method
-from repro.supervise import RawResult, SupervisorPolicy, run_supervised
+from repro.supervise import SupervisorPolicy, run_supervised
 from repro.twitter.models import Tweet
 
 #: One shard is a list of (original stream position, tweet).
@@ -135,27 +136,25 @@ def _run_shard(
 _FORK_STATE: tuple[list[Shard], ShardContext] | None = None
 
 
-def _shard_task_fork(index: int) -> RawResult:
+def _shard_task_fork(index: int) -> bytes:
     """Fork-mode worker entry point: look the shard up, return a frame.
 
     The result is wire-encoded in the worker
-    (:func:`repro.pipeline.wire.encode_shard_result`) and shipped as a
-    :class:`~repro.supervise.RawResult`, so the record graph crosses the
-    result pipe as raw JSON lines, not pickle.
+    (:func:`repro.pipeline.wire.encode_shard_result`), so the record
+    graph crosses the result pipe as corpus lines inside one ``bytes``
+    value, not as pickled objects.
     """
     state = _FORK_STATE
     if state is None:  # pragma: no cover - dispatch bug guard
         raise RuntimeError("fork shard state is not set in this process")
     shards, context = state
-    return RawResult(
-        encode_shard_result(*_run_shard(index, shards[index], context))
-    )
+    return encode_shard_result(*_run_shard(index, shards[index], context))
 
 
-def _shard_task(payload: tuple[int, Shard, ShardContext]) -> RawResult:
+def _shard_task(payload: tuple[int, Shard, ShardContext]) -> bytes:
     """Spawn-compatible worker entry point carrying the shard itself."""
     index, shard, context = payload
-    return RawResult(encode_shard_result(*_run_shard(index, shard, context)))
+    return encode_shard_result(*_run_shard(index, shard, context))
 
 
 def run_sharded(
@@ -172,12 +171,10 @@ def run_sharded(
 
     Returns records in original stream order and the merged report; both
     are identical to what the serial loop produces, for any worker count
-    and any recoverable fault schedule.  ``workers=1`` with no policy and
-    no fault plan processes the single shard in-process (no pool), which
-    keeps the sharded path testable without multiprocessing overhead;
-    otherwise shards run under :func:`repro.supervise.run_supervised` and
-    ``report.compute`` records what the pool survived.  Every shard's
-    funnel runs over ``geocoder`` and ``matcher`` (fresh when omitted).
+    and any recoverable fault schedule.  Shards run under
+    :func:`repro.supervise.run_supervised` and ``report.compute`` records
+    what the pool survived.  Every shard's funnel runs over ``geocoder``
+    and ``matcher`` (fresh when omitted).
 
     A shard quarantined after exhausting its retries (a poison shard) is
     an explicit, named gap: its records are absent, the merged counters
@@ -188,59 +185,48 @@ def run_sharded(
         ConfigError: if ``workers`` is not a positive integer or the
             fault plan is not absorbable by the policy.
     """
+    global _FORK_STATE
     telemetry = obs.current()
     shards = shard_by_id(source, workers)
-    report = PipelineReport()
-    results: list[tuple[list[tuple[int, CollectedTweet]], PipelineReport]]
-    if workers == 1 and policy is None and worker_faults is None:
-        with telemetry.span("shard", index=0, tweets=len(shards[0])):
-            results = [process_shard(shards[0], config, geocoder, matcher)]
-    else:
-        global _FORK_STATE
-        labels = [f"shard {index}" for index in range(len(shards))]
-        fork = pick_start_method() == "fork"
-        outcomes: list[RawResult | None]
-        context: ShardContext = (config, geocoder, matcher, telemetry.enabled)
-        if fork:
-            # Slim dispatch: workers inherit the shards via fork and
-            # receive only their index over the pipe.
-            _FORK_STATE = (shards, context)
-            try:
-                outcomes, health = run_supervised(
-                    _shard_task_fork,
-                    list(range(len(shards))),
-                    workers=workers,
-                    policy=policy,
-                    fault_plan=worker_faults,
-                    labels=labels,
-                )
-            finally:
-                _FORK_STATE = None
-        else:  # pragma: no cover - non-fork platforms only
+    labels = [f"shard {index}" for index in range(len(shards))]
+    outcomes: list[bytes | None]
+    context: ShardContext = (config, geocoder, matcher, telemetry.enabled)
+    if pick_start_method() == "fork":
+        # Slim dispatch: workers inherit the shards via fork and receive
+        # only their index over the pipe.
+        _FORK_STATE = (shards, context)
+        try:
             outcomes, health = run_supervised(
-                _shard_task,
-                [(index, shard, context) for index, shard in enumerate(shards)],
+                _shard_task_fork,
+                list(range(len(shards))),
                 workers=workers,
                 policy=policy,
                 fault_plan=worker_faults,
                 labels=labels,
             )
-        # Absorb worker buffers in shard-index order (outcomes align
-        # with payloads), so the merged telemetry is deterministic no
-        # matter how the scheduler interleaved the workers.
-        results = []
-        for outcome in outcomes:
-            if outcome is None:
-                continue
-            shard_records, shard_report, snapshot = decode_shard_result(
-                outcome.payload
-            )
-            telemetry.absorb(snapshot)
-            results.append((shard_records, shard_report))
-        report.compute = health
+        finally:
+            _FORK_STATE = None
+    else:  # pragma: no cover - non-fork platforms only
+        outcomes, health = run_supervised(
+            _shard_task,
+            [(index, shard, context) for index, shard in enumerate(shards)],
+            workers=workers,
+            policy=policy,
+            fault_plan=worker_faults,
+            labels=labels,
+        )
+    report = PipelineReport()
     tagged: list[tuple[int, CollectedTweet]] = []
-    for shard_records, shard_report in results:
+    # Absorb worker buffers in shard-index order (outcomes align with
+    # payloads), so the merged telemetry is deterministic no matter how
+    # the scheduler interleaved the workers.
+    for outcome in outcomes:
+        if outcome is None:
+            continue
+        shard_records, shard_report, snapshot = decode_shard_result(outcome)
+        telemetry.absorb(snapshot)
         report = report.merge(shard_report)
         tagged.extend(shard_records)
+    report.compute = health
     tagged.sort(key=lambda item: item[0])
     return [record for __, record in tagged], report

@@ -8,19 +8,20 @@ of objects per record for the pickler to walk, memoize, and rebuild.
 This module replaces that with a framed byte format the worker encodes
 once and the parent decodes once:
 
-* the bulk payload — the surviving records — travels as **raw JSON
-  lines**, the same stable dict form the on-disk corpus uses
-  (:meth:`CollectedTweet.to_dict`), so the wire format is versionable
-  and independent of pickle's per-interpreter details;
-* the shard's :class:`~repro.pipeline.runner.PipelineReport` rides in
-  the frame header (it is a flat counter dict);
+* the bulk payload — the surviving records — travels as **corpus
+  lines**, byte for byte what :meth:`CollectedTweet.to_json` writes
+  into ``corpus.jsonl``, so the wire format is versionable and
+  independent of pickle's per-interpreter details;
+* the records' positions in the original stream and the shard's
+  :class:`~repro.pipeline.runner.PipelineReport` (a flat counter dict)
+  ride in the frame header;
 * the optional telemetry snapshot — small, deeply structured, and
   parent-internal — stays pickled in a length-prefixed binary tail.
 
 Frame layout (``encode_shard_result``)::
 
-    {"v": 1, "records": N, "report": {...}, "snapshot": M}\\n
-    [position, {collected tweet dict}]\\n     × N
+    {"v": 2, "positions": [p, ...], "report": {...}, "snapshot": M}\\n
+    {collected tweet}\\n                      × len(positions)
     <M bytes of pickled TelemetrySnapshot>    (M == 0 when untraced)
 
 Input direction: under the ``fork`` start method workers inherit the
@@ -49,38 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import TelemetrySnapshot
 
 #: Wire format version; bump on any frame-layout change.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 _SEPARATORS = (",", ":")
-
-
-def encode_records(records: list[tuple[int, CollectedTweet]]) -> bytes:
-    """Encode position-tagged records as compact JSON lines."""
-    lines = [
-        json.dumps([position, record.to_dict()], separators=_SEPARATORS)
-        for position, record in records
-    ]
-    if not lines:
-        return b""
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def decode_records(data: bytes) -> list[tuple[int, CollectedTweet]]:
-    """Decode :func:`encode_records` output back into records.
-
-    Raises:
-        SerializationError: on malformed JSON or a malformed record.
-    """
-    records: list[tuple[int, CollectedTweet]] = []
-    for line in data.splitlines():
-        if not line:
-            continue
-        try:
-            position, payload = json.loads(line)
-        except (json.JSONDecodeError, ValueError) as exc:
-            raise SerializationError(f"malformed record line: {exc}") from exc
-        records.append((int(position), CollectedTweet.from_dict(payload)))
-    return records
 
 
 def encode_shard_result(
@@ -97,15 +69,14 @@ def encode_shard_result(
     header = json.dumps(
         {
             "v": WIRE_VERSION,
-            "records": len(records),
+            "positions": [position for position, __ in records],
             "report": report.to_dict(),
             "snapshot": len(snapshot_blob),
         },
         separators=_SEPARATORS,
-    ).encode("utf-8")
-    return b"".join(
-        (header, b"\n", encode_records(records), snapshot_blob)
     )
+    lines = "".join(f"{record.to_json()}\n" for __, record in records)
+    return f"{header}\n{lines}".encode("utf-8") + snapshot_blob
 
 
 def decode_shard_result(
@@ -133,28 +104,26 @@ def decode_shard_result(
         raise SerializationError(
             f"shard frame version {header.get('v')!r}, expected {WIRE_VERSION}"
         )
-    offset = end + 1
-    records: list[tuple[int, CollectedTweet]] = []
-    for __ in range(int(header["records"])):
-        try:
-            end = data.index(b"\n", offset)
-        except ValueError as exc:
-            raise SerializationError(
-                "shard frame truncated mid-records"
-            ) from exc
-        try:
-            position, payload = json.loads(data[offset:end])
-        except (json.JSONDecodeError, ValueError) as exc:
-            raise SerializationError(f"malformed record line: {exc}") from exc
-        records.append((int(position), CollectedTweet.from_dict(payload)))
-        offset = end + 1
+    positions = [int(position) for position in header["positions"]]
     snapshot_size = int(header["snapshot"])
-    tail = data[offset:]
-    if len(tail) != snapshot_size:
+    tail_start = len(data) - snapshot_size
+    if tail_start <= end:
         raise SerializationError(
-            f"shard frame tail is {len(tail)} bytes, header promised "
-            f"{snapshot_size}"
+            f"shard frame tail is {len(data) - end - 1} bytes, header "
+            f"promised {snapshot_size}"
         )
+    lines = data[end + 1 : tail_start].split(b"\n")
+    if lines.pop() or len(lines) != len(positions):
+        raise SerializationError(
+            f"shard frame truncated mid-records: {len(positions)} promised"
+        )
+    try:
+        records = [
+            (position, CollectedTweet.from_dict(json.loads(line)))
+            for position, line in zip(positions, lines)
+        ]
+    except ValueError as exc:
+        raise SerializationError(f"malformed record line: {exc}") from exc
     report = PipelineReport.from_dict(header["report"])
-    snapshot = pickle.loads(tail) if snapshot_size else None
+    snapshot = pickle.loads(data[tail_start:]) if snapshot_size else None
     return records, report, snapshot

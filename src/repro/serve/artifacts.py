@@ -98,12 +98,3 @@ class ArtifactCache:
         self._misses += 1
         entries[key] = value
         return value
-
-    def evict_generation(self, generation: str) -> int:
-        """Drop every entry of one generation; returns how many."""
-        stale = [
-            key for key in self._entries if key and key[0] == generation
-        ]
-        for key in stale:
-            del self._entries[key]
-        return len(stale)

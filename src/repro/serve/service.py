@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, cast
+from typing import Callable, TypeGuard, cast
 
 from repro.core.attention import build_attention_matrix
 from repro.core.characterize import RegionCharacterization, characterize_regions
@@ -56,8 +57,7 @@ from repro.serve.breaker import BreakerOpenError, BreakerPolicy, CircuitBreaker
 from repro.serve.deadline import Deadline, DeadlineExceeded
 from repro.serve.degrade import BrownoutLadder, BrownoutPolicy, CoarseSummaries
 from repro.serve.report import OverloadReport
-from repro.storage.atomic import AtomicWriter
-from repro.storage.manifest import Manifest, record_crc, write_manifest
+from repro.storage.jsonl import write_jsonl_lines
 
 #: Query kinds the stock service answers.
 QUERY_KINDS = ("state_signature", "relative_risk", "cluster_profile", "health")
@@ -785,8 +785,8 @@ def _request_from_dict(data: dict[str, object]) -> QueryRequest:
         raise QueryError("id must be a non-empty string")
     if not isinstance(kind, str) or not kind:
         raise QueryError("kind must be a non-empty string")
-    if not isinstance(arrival, (int, float)) or isinstance(arrival, bool):
-        raise QueryError("arrival must be a number")
+    if not _is_finite_number(arrival):
+        raise QueryError("arrival must be a finite number")
     if arrival < 0:
         raise QueryError("arrival must be >= 0")
     params_raw = data.get("params", {})
@@ -798,12 +798,8 @@ def _request_from_dict(data: dict[str, object]) -> QueryRequest:
     deadline_raw = data.get("deadline")
     deadline: float | None = None
     if deadline_raw is not None:
-        if (
-            not isinstance(deadline_raw, (int, float))
-            or isinstance(deadline_raw, bool)
-            or deadline_raw <= 0
-        ):
-            raise QueryError("deadline must be a positive number")
+        if not _is_finite_number(deadline_raw) or deadline_raw <= 0:
+            raise QueryError("deadline must be a positive finite number")
         deadline = float(deadline_raw)
     return QueryRequest(
         request_id=request_id,
@@ -811,6 +807,20 @@ def _request_from_dict(data: dict[str, object]) -> QueryRequest:
         arrival=float(arrival),
         params=params,
         deadline=deadline,
+    )
+
+
+def _is_finite_number(value: object) -> TypeGuard[int | float]:
+    """A JSON number the simulated clock can add: not a bool, NaN or ±inf.
+
+    ``json.loads`` accepts ``NaN`` and ``Infinity``; a NaN arrival would
+    stall the serve loop (no later request ever becomes due) and a NaN
+    deadline would never expire.
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
     )
 
 
@@ -822,22 +832,10 @@ def write_responses_jsonl(
     Keys are sorted so the byte stream is a pure function of the
     response values — the property suite fingerprints this file.
     """
-    crcs: list[int] = []
-    with AtomicWriter(path) as writer:
-        for response in responses:
-            line = json.dumps(
-                response.to_dict(), sort_keys=True, ensure_ascii=False
-            )
-            writer.write(line)
-            writer.write("\n")
-            crcs.append(record_crc(line))
-    write_manifest(
-        path,
-        Manifest(
-            file=Path(path).name,
-            sha256=writer.sha256_hex,
-            size_bytes=writer.bytes_written,
-            record_crcs=tuple(crcs),
+    return write_jsonl_lines(
+        (
+            json.dumps(response.to_dict(), sort_keys=True, ensure_ascii=False)
+            for response in responses
         ),
+        path,
     )
-    return len(crcs)

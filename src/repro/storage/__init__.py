@@ -1,6 +1,6 @@
 """Durable storage: the layer every persisted byte flows through.
 
-Four parts, composed bottom-up:
+Five parts, composed bottom-up:
 
 * :mod:`repro.storage.fs` — the syscall-granular filesystem abstraction
   (:class:`LocalFS`) and its fault-injecting wrapper (:class:`FaultyFS`).
@@ -10,6 +10,9 @@ Four parts, composed bottom-up:
   dataset writers.
 * :mod:`repro.storage.manifest` — per-file SHA-256 + per-record CRC32
   integrity sidecars.
+* :mod:`repro.storage.jsonl` — the one durable JSONL writer (atomic
+  write plus sidecar in one pass) and the one strict JSONL reader that
+  every record file goes through.
 * :mod:`repro.storage.scrub` — the offline verifier that detects
   bitrot, quarantines corrupt records into a dead-letter, and repairs
   from replicas.
@@ -23,6 +26,7 @@ from repro.storage.atomic import (
     atomic_write_text,
 )
 from repro.storage.fs import LOCAL_FS, FaultyFS, FileSystem, LocalFS
+from repro.storage.jsonl import read_objects_jsonl, write_jsonl_lines
 from repro.storage.manifest import (
     MANIFEST_SUFFIX,
     Manifest,
@@ -63,9 +67,11 @@ __all__ = [
     "load_manifest",
     "manifest_path",
     "quarantine_path",
+    "read_objects_jsonl",
     "scrub_file",
     "scrub_paths",
     "verify_file",
+    "write_jsonl_lines",
     "write_manifest",
     "write_text_with_manifest",
 ]

@@ -61,29 +61,11 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Result-pipe frame tags.  Every worker report is one ``send_bytes``
-#: frame whose first byte says how to read the rest: ``O`` — a pickled
-#: ordinary object; ``B`` — raw bytes from a task that returned
-#: :class:`RawResult` (zero pickle involvement); ``E`` — a UTF-8 task
-#: traceback.  An unknown tag is treated as a corrupt report, i.e. a
-#: crashed attempt.
+#: frame whose first byte says how to read the rest: ``O`` — the task's
+#: pickled result; ``E`` — a UTF-8 task traceback.  An unknown tag is
+#: treated as a corrupt report, i.e. a crashed attempt.
 _TAG_OBJECT = b"O"
-_TAG_BYTES = b"B"
 _TAG_ERROR = b"E"
-
-
-@dataclass(frozen=True, slots=True)
-class RawResult:
-    """A task result that is already wire-encoded bytes.
-
-    A task function that returns ``RawResult`` opts its payload out of
-    pickling on the result pipe: the worker ships it as one tagged raw
-    byte frame and the caller receives the same ``RawResult`` back,
-    decoding it however its own wire format dictates.  The sharded
-    pipeline uses this to return JSON-line frames
-    (:mod:`repro.pipeline.wire`) instead of pickled record graphs.
-    """
-
-    payload: bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -354,13 +336,9 @@ def _worker_main(
     except Exception:  # reprolint: disable=RPL004 — traceback is forwarded to the supervisor, which retries or dead-letters it; nothing is swallowed
         conn.send_bytes(_TAG_ERROR + traceback.format_exc().encode("utf-8"))
     else:
-        if isinstance(result, RawResult):
-            conn.send_bytes(_TAG_BYTES + result.payload)
-        else:
-            conn.send_bytes(
-                _TAG_OBJECT
-                + pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-            )
+        conn.send_bytes(
+            _TAG_OBJECT + pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        )
     finally:
         conn.close()
 
@@ -517,8 +495,6 @@ def run_supervised(
                         tag, body = frame[:1], frame[1:]
                         if tag == _TAG_OBJECT:
                             kind, payload = "ok", pickle.loads(body)
-                        elif tag == _TAG_BYTES:
-                            kind, payload = "ok", RawResult(body)
                         elif tag == _TAG_ERROR:
                             kind, payload = "error", body.decode("utf-8")
                         else:  # pragma: no cover - corrupt frame

@@ -41,12 +41,10 @@ recovers the exact fault-free stream.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
-from typing import Any
 
 from repro.errors import ConfigError
 from repro.twitter.errors import (
@@ -338,7 +336,7 @@ class FaultySource:
         except StopIteration:
             self._drained = True
             return None
-        return tweet.tweet_id, json.dumps(tweet.to_dict(), ensure_ascii=False)
+        return tweet.tweet_id, tweet.to_json()
 
     def _next_frame(self, conn: _Connection) -> str:
         if conn.dead or conn is not self._connection:
@@ -404,30 +402,3 @@ class FaultySource:
         if variant == 1:
             return "{this is not json}"
         return '{"event": "limit", "track": 12}'  # valid JSON, not a tweet
-
-
-def encode_frames(tweets: Iterable[Tweet]) -> Iterator[str]:
-    """Serialize tweets to the payload-frame representation clients read.
-
-    Convenience for tests that compare a fault-free frame stream with a
-    faulty one.
-    """
-    for tweet in tweets:
-        yield json.dumps(tweet.to_dict(), ensure_ascii=False)
-
-
-def decode_frame(frame: str) -> Tweet:
-    """Decode one payload frame back into a :class:`Tweet`.
-
-    Raises:
-        repro.errors.SerializationError: if the frame is malformed.
-    """
-    from repro.errors import SerializationError
-
-    try:
-        data: Any = json.loads(frame)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"invalid JSON frame: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SerializationError(f"frame is not an object: {frame!r}")
-    return Tweet.from_dict(data)

@@ -8,6 +8,7 @@ tweets.  Records are immutable and JSON-serializable.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any
@@ -104,6 +105,10 @@ class Tweet:
             "place": self.place.to_dict() if self.place is not None else None,
             "in_reply_to": self.in_reply_to,
         }
+
+    def to_json(self) -> str:
+        """This tweet as one firehose line (no trailing newline)."""
+        return json.dumps(self.to_dict(), ensure_ascii=False)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Tweet":

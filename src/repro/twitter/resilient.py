@@ -43,9 +43,8 @@ from repro.config import ResiliencePolicy
 from repro.errors import ConfigError, SerializationError
 from repro.health import rows_to_lines
 from repro.obs import current as telemetry_current
-from repro.storage.atomic import AtomicWriter
 from repro.storage.fs import FileSystem
-from repro.storage.manifest import Manifest, record_crc, write_manifest
+from repro.storage.jsonl import read_objects_jsonl, write_jsonl_lines
 from repro.twitter.errors import (
     HTTPStreamError,
     RateLimitError,
@@ -149,7 +148,6 @@ def write_dead_letters_jsonl(
     path: str | Path,
     *,
     fs: FileSystem | None = None,
-    manifest: bool = True,
 ) -> int:
     """Persist a dead-letter queue as JSONL; returns the count written.
 
@@ -159,28 +157,11 @@ def write_dead_letters_jsonl(
     sidecar, making the queue scrubbable for bitrot like every other
     persisted artifact.
     """
-    count = 0
-    crcs: list[int] = []
-    with AtomicWriter(path, fs=fs) as writer:
-        for letter in letters:
-            line = json.dumps(letter.to_dict(), ensure_ascii=False)
-            writer.write(line)
-            writer.write("\n")
-            if manifest:
-                crcs.append(record_crc(line))
-            count += 1
-    if manifest:
-        write_manifest(
-            path,
-            Manifest(
-                file=Path(path).name,
-                sha256=writer.sha256_hex,
-                size_bytes=writer.bytes_written,
-                record_crcs=tuple(crcs),
-            ),
-            fs=fs,
-        )
-    return count
+    return write_jsonl_lines(
+        (json.dumps(letter.to_dict(), ensure_ascii=False) for letter in letters),
+        path,
+        fs=fs,
+    )
 
 
 def read_dead_letters_jsonl(path: str | Path) -> Iterator[DeadLetter]:
@@ -190,23 +171,13 @@ def read_dead_letters_jsonl(path: str | Path) -> Iterator[DeadLetter]:
         SerializationError: on the first malformed line, with its
             1-based line number.
     """
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SerializationError(
-                    f"{path}:{line_number}: invalid JSON: {exc}"
-                ) from exc
-            try:
-                yield DeadLetter.from_dict(data)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SerializationError(
-                    f"{path}:{line_number}: malformed dead letter: {exc}"
-                ) from exc
+    for line_number, data in read_objects_jsonl(path):
+        try:
+            yield DeadLetter.from_dict(data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SerializationError(
+                f"{path}:{line_number}: malformed dead letter: {exc}"
+            ) from exc
 
 
 @dataclass(slots=True)

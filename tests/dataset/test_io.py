@@ -163,13 +163,6 @@ class TestAtomicWrites:
         assert manifest.records == 4
         assert verify_file(path).ok
 
-    def test_manifest_opt_out(self, tmp_path):
-        from repro.storage.manifest import load_manifest
-
-        path = tmp_path / "corpus.jsonl"
-        write_jsonl(records(2), path, manifest=False)
-        assert load_manifest(path) is None
-
     def test_no_temp_file_after_clean_write(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         write_jsonl(records(2), path)
@@ -219,13 +212,13 @@ class TestTweetsTornTail:
     def test_torn_tail_probe_reads_bounded_chunks(self, tmp_path):
         """A torn line followed by a huge whitespace run must not be
         slurped in one read() call."""
-        from repro.dataset import io as io_module
         from repro.dataset.io import read_tweets_jsonl
+        from repro.storage import jsonl
 
         path, tweets = self.make_firehose(tmp_path, 1)
         with open(path, "a") as handle:
             handle.write('{"torn')
-            handle.write(" " * (io_module._TAIL_PROBE_BYTES * 3))
+            handle.write(" " * (jsonl._TAIL_PROBE_BYTES * 3))
         with pytest.warns(UserWarning, match="torn"):
             assert list(
                 read_tweets_jsonl(path, tolerate_torn_tail=True)
@@ -283,13 +276,14 @@ class TestWriteFormat:
 
     The plain encoding is the format every reader and manifest depends
     on; the durable write path (temp file, fsyncs, rename, integrity
-    sidecar) must not change a byte of it.
+    sidecar) must not change a byte of it, and the sidecar it leaves
+    equals one built from the file afterwards.
     """
 
     @pytest.mark.parametrize("kind", ["corpus", "firehose"])
     def test_bytes_equal_plain_lines(self, tmp_path, kind):
         from repro.dataset.io import read_tweets_jsonl, write_tweets_jsonl
-        from repro.storage.manifest import verify_file
+        from repro.storage.manifest import build_manifest, load_manifest, verify_file
 
         items, write, read = (varied_records(500), write_jsonl, read_jsonl)
         if kind == "firehose":
@@ -301,5 +295,6 @@ class TestWriteFormat:
             json.dumps(item.to_dict(), ensure_ascii=False) + "\n" for item in items
         )
         assert path.read_bytes() == expected.encode("utf-8")
+        assert load_manifest(path) == build_manifest(path)
         assert verify_file(path).ok
         assert list(read(path)) == items

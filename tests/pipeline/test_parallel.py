@@ -226,13 +226,3 @@ class TestPipelineComponentsReachWorkers:
         assert corpus_bytes(corpus) == corpus_bytes(serial_corpus)
         report.compute = None
         assert report == serial_report
-
-    def test_in_process_single_shard(self):
-        records, report = run_sharded(
-            [tweet("kidney donor", "Wichita, KS", 0)],
-            CollectionConfig(),
-            1,
-            matcher=OrganMatcher(aliases={"liver": Organ.LIVER}),
-        )
-        assert records == []
-        assert report.no_mentions == 1

@@ -13,7 +13,6 @@ from repro.faults.compute import (
 from repro.procpool import pool_context, reaped
 from repro.supervise import (
     ComputeDeadLetter,
-    RawResult,
     RunHealth,
     SupervisorPolicy,
     ensure_supervisable,
@@ -112,38 +111,6 @@ class TestCleanRuns:
     def test_no_lingering_children(self):
         run_supervised(square, list(range(8)), workers=4)
         assert multiprocessing.active_children() == []
-
-
-def raw_frame(x: int) -> RawResult:
-    return RawResult(b"frame:" + str(x).encode())
-
-
-def raw_or_object(x: int) -> RawResult | int:
-    if x % 2 == 0:
-        return raw_frame(x)
-    return x
-
-
-class TestRawResults:
-    def test_raw_payloads_skip_pickling_and_round_trip(self):
-        results, health = run_supervised(raw_frame, [1, 2, 3], workers=2)
-        assert results == [
-            RawResult(b"frame:1"), RawResult(b"frame:2"), RawResult(b"frame:3"),
-        ]
-        assert health.completed == 3
-
-    def test_raw_and_object_results_can_mix(self):
-        results, __ = run_supervised(raw_or_object, [0, 1, 2, 3], workers=2)
-        assert results == [RawResult(b"frame:0"), 1, RawResult(b"frame:2"), 3]
-
-    def test_raw_result_survives_retries(self):
-        plan = WorkerFaultPlan(seed=1, crash_rate=1.0, max_faulted_attempts=1)
-        results, health = run_supervised(
-            raw_frame, [7], workers=1,
-            policy=SupervisorPolicy(max_retries=1), fault_plan=plan,
-        )
-        assert results == [RawResult(b"frame:7")]
-        assert health.retries == 1
 
 
 class TestFaultRecovery:

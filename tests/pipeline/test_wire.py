@@ -14,9 +14,7 @@ from repro.dataset.records import CollectedTweet
 from repro.pipeline.runner import PipelineReport
 from repro.pipeline.wire import (
     WIRE_VERSION,
-    decode_records,
     decode_shard_result,
-    encode_records,
     encode_shard_result,
 )
 from repro.twitter.models import Tweet, UserProfile
@@ -56,20 +54,37 @@ def make_report() -> PipelineReport:
     )
 
 
+def record_section(frame: bytes) -> bytes:
+    """The record lines of an untraced frame (everything after the header)."""
+    return frame[frame.index(b"\n") + 1 :]
+
+
+def with_record_section(frame: bytes, section: bytes) -> bytes:
+    return frame[: frame.index(b"\n") + 1] + section
+
+
 class TestRecordLines:
     def test_round_trip(self):
         records = make_records()
-        assert decode_records(encode_records(records)) == records
+        frame = encode_shard_result(records, make_report(), None)
+        assert record_section(frame) == b"".join(
+            f"{record.to_json()}\n".encode() for __, record in records
+        )
+        assert decode_shard_result(frame)[0] == records
 
     def test_empty(self):
-        assert encode_records([]) == b""
-        assert decode_records(b"") == []
+        frame = encode_shard_result([], make_report(), None)
+        assert record_section(frame) == b""
+        assert decode_shard_result(frame)[0] == []
 
     def test_malformed_line_raises(self):
+        frame = encode_shard_result(make_records(1), make_report(), None)
         with pytest.raises(SerializationError):
-            decode_records(b'[0, {"not a record": true}]\n')
+            decode_shard_result(
+                with_record_section(frame, b'{"not a record": true}\n')
+            )
         with pytest.raises(SerializationError):
-            decode_records(b"{truncated\n")
+            decode_shard_result(with_record_section(frame, b"{truncated\n"))
 
 
 class TestShardFrame:

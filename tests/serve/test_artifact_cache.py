@@ -7,6 +7,7 @@ import pytest
 from repro.dataset.io import write_jsonl
 from repro.serve.artifacts import ArtifactCache, corpus_generation
 from repro.serve.service import QueryRequest, QueryService
+from repro.storage.manifest import manifest_path
 from tests.serve.conftest import build_serve_corpus
 
 
@@ -58,15 +59,6 @@ class TestArtifactCache:
         assert cache.get(("gen", "corpus"), lambda: "ok") == "ok"
         assert cache.misses == 1
 
-    def test_evict_generation(self):
-        cache = ArtifactCache()
-        cache.get(("old", "corpus"), lambda: 1)
-        cache.get(("old", "regions"), lambda: 2)
-        cache.get(("new", "corpus"), lambda: 3)
-        assert cache.evict_generation("old") == 2
-        assert len(cache) == 1
-        assert cache.get(("new", "corpus"), lambda: 99) == 3
-
 
 class TestCorpusGeneration:
     def test_prefers_manifest_sha256(self, serve_run_dir):
@@ -77,9 +69,8 @@ class TestCorpusGeneration:
         assert corpus_generation(serve_run_dir) == manifest.sha256
 
     def test_falls_back_to_file_hash_without_manifest(self, tmp_path):
-        write_jsonl(
-            build_serve_corpus(), tmp_path / "corpus.jsonl", manifest=False
-        )
+        write_jsonl(build_serve_corpus(), tmp_path / "corpus.jsonl")
+        manifest_path(tmp_path / "corpus.jsonl").unlink()
         generation = corpus_generation(tmp_path)
         assert len(generation) == 64
         assert generation == corpus_generation(tmp_path)

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from repro.dataset.io import write_jsonl
 from repro.dataset.records import CollectedTweet
@@ -40,6 +45,19 @@ def request(
         request_id=request_id, kind=kind, arrival=arrival, params=params,
         **kwargs,
     )
+
+
+#: Serves a request file in a child process and prints each response's
+#: id, outcome and status.
+_SERVE_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.serve import QueryService, read_requests_jsonl
+
+requests, malformed = read_requests_jsonl({requests!r})
+for response in QueryService({run_dir!r}).serve(requests, malformed).responses:
+    print(response.request_id, response.outcome.value, response.status)
+"""
 
 
 class TestRequestParsing:
@@ -89,6 +107,55 @@ class TestRequestParsing:
             ("line-3", "malformed_request"),
             ("line-4", "malformed_request"),
         )
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"arrival": NaN',
+            '"arrival": Infinity',
+            '"deadline": NaN',
+            '"deadline": Infinity',
+            '"deadline": -Infinity',
+        ],
+    )
+    def test_non_finite_times_are_malformed(self, tmp_path, fields):
+        path = tmp_path / "requests.jsonl"
+        path.write_text(
+            f'{{"id": "bad", "kind": "health", {fields}}}\n'
+            '{"id": "ok", "kind": "health", "arrival": 0.5}\n'
+        )
+        requests, malformed = read_requests_jsonl(path)
+        assert [req.request_id for req in requests] == ["ok"]
+        assert malformed == (("line-1", "malformed_request"),)
+
+    def test_nan_arrival_does_not_stall_the_serve_loop(
+        self, tmp_path, serve_run_dir
+    ):
+        """A NaN arrival once advanced the simulated clock to NaN, after
+        which no request was ever due and ``serve`` never returned.  The
+        serve runs in a child process with a deadline, so a regression
+        fails here instead of hanging the suite."""
+        path = tmp_path / "requests.jsonl"
+        path.write_text(
+            '{"id": "nan", "kind": "health", "arrival": NaN}\n'
+            '{"id": "ok", "kind": "health", "arrival": 0.5}\n'
+        )
+        script = _SERVE_SCRIPT.format(
+            src=str(Path(__file__).resolve().parents[2] / "src"),
+            requests=str(path),
+            run_dir=str(serve_run_dir),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(proc.stdout.splitlines()) == [
+            "line-1 dead_lettered malformed_request",
+            "ok completed ok",
+        ]
 
 
 class TestHappyPath:

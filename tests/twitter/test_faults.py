@@ -1,5 +1,7 @@
 """Tests for the fault-injecting stream substrate."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigError, SerializationError
@@ -12,10 +14,16 @@ from repro.twitter.faults import (
     KEEPALIVE,
     FaultPlan,
     FaultySource,
-    decode_frame,
-    encode_frames,
 )
 from repro.twitter.models import Tweet, UserProfile
+
+
+def decode_frame(frame: str) -> Tweet:
+    """Decode one payload frame back into a tweet, as a client would."""
+    try:
+        return Tweet.from_dict(json.loads(frame))
+    except json.JSONDecodeError as exc:
+        raise SerializationError(f"invalid JSON frame: {exc}") from exc
 
 
 def tweets(n: int) -> list[Tweet]:
@@ -102,7 +110,9 @@ class TestPassthrough:
     def test_no_faults_delivers_exact_frame_stream(self):
         items = tweets(30)
         source = FaultySource(iter(items), FaultPlan.none())
-        assert drain(source) == list(encode_frames(items))
+        assert drain(source) == [
+            json.dumps(item.to_dict(), ensure_ascii=False) for item in items
+        ]
 
     def test_no_faults_injects_nothing(self):
         source = FaultySource(iter(tweets(10)), FaultPlan.none())

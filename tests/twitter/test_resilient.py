@@ -356,13 +356,15 @@ class TestDeadLetterPersistence:
 
     def test_malformed_line_reports_position(self, tmp_path):
         from repro.errors import SerializationError
+        from repro.storage.manifest import manifest_path
         from repro.twitter.resilient import (
             read_dead_letters_jsonl,
             write_dead_letters_jsonl,
         )
 
         path = tmp_path / "dead.jsonl"
-        write_dead_letters_jsonl(self.letters(), path, manifest=False)
+        write_dead_letters_jsonl(self.letters(), path)
+        manifest_path(path).unlink()
         with open(path, "a") as handle:
             handle.write('{"payload": "x"}\n')  # missing fields
         with pytest.raises(SerializationError, match=":3"):
