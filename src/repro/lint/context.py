@@ -21,7 +21,7 @@ from pathlib import Path
 #: Path components that mark a file as test code.
 _TEST_PARTS = frozenset({"tests", "test"})
 #: Path components that mark a file as benchmark code.
-_BENCH_PARTS = frozenset({"benchmarks", "bench"})
+_BENCH_PARTS = frozenset({"benchmarks", "bench", "perfbench"})
 #: Path components that mark a file as CLI code.
 _CLI_PARTS = frozenset({"cli"})
 #: A component that re-classifies a file as plain source even under tests/

@@ -59,7 +59,7 @@ from repro.obs.export import TRACE_FILENAME, write_trace
 from repro.pipeline.runner import CollectionPipeline, PipelineReport
 from repro.storage.atomic import atomic_write_text
 from repro.storage.fs import LOCAL_FS, FileSystem
-from repro.storage.manifest import write_text_with_manifest
+from repro.storage.manifest import build_manifest, write_text_with_manifest
 from repro.supervise import SupervisorPolicy
 
 
@@ -127,14 +127,6 @@ STAGE_ARTIFACTS: tuple[tuple[str, tuple[str, ...]], ...] = (
 )
 
 STAGES: tuple[str, ...] = tuple(name for name, __ in STAGE_ARTIFACTS)
-
-
-def _hash_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 class RunJournal:
@@ -206,7 +198,7 @@ class RunJournal:
                     "missing; the run directory was modified — re-run "
                     "without --resume"
                 )
-            actual = _hash_file(path)
+            actual = build_manifest(path, records=False).sha256
             if actual != recorded:
                 raise PipelineError(
                     f"journaled artifact {name} of stage '{stage}' changed "
@@ -222,7 +214,8 @@ class RunJournal:
         the new one (stage is skipped) — never a torn file.
         """
         self._stages[stage] = {
-            name: _hash_file(self.run_dir / name) for name in artifacts
+            name: build_manifest(self.run_dir / name, records=False).sha256
+            for name in artifacts
         }
         self._write()
 

@@ -19,12 +19,12 @@ the results so that the outcome is *indistinguishable* from a serial run:
 * **Counter merge** — per-shard :class:`PipelineReport` objects are
   combined with :meth:`PipelineReport.merge`; every counter is a sum over
   disjoint shards, so totals equal the serial run exactly.
-* **Slim IPC** — under the ``fork`` start method workers inherit the
-  shard lists by copy-on-write and are dispatched a bare shard *index*;
-  each result comes back as one wire frame of corpus lines
-  (:mod:`repro.pipeline.wire`), a ``bytes`` value the supervisor
-  pickles as-is, so no tweet object graph is pickled in either
-  direction.
+* **One dispatch path** — every shard goes to the one worker entry
+  point, ``_shard_task((index, shard, context))``, on every start
+  method.  The supervisor starts one process per attempt, so under
+  ``fork`` the shard is inherited by copy-on-write and under ``spawn``
+  it is pickled; each result comes back as one pickled frame
+  (:mod:`repro.pipeline.wire`).
 
 *Transport*-level fault injection / resilient consumption happens in the
 parent *before* sharding (a reconnecting stream is inherently a single
@@ -50,7 +50,6 @@ from repro.nlp.matcher import OrganMatcher
 from repro.pipeline.batch import Funnel
 from repro.pipeline.runner import PipelineReport
 from repro.pipeline.wire import decode_shard_result, encode_shard_result
-from repro.procpool import pick_start_method
 from repro.supervise import SupervisorPolicy, run_supervised
 from repro.twitter.models import Tweet
 
@@ -128,31 +127,14 @@ def _run_shard(
     return records, report, telemetry.snapshot()
 
 
-#: Parent-side stash the fork-inherited workers read their shards from;
-#: set only while one ``run_sharded`` fan-out is dispatching.  Under the
-#: ``fork`` start method every child inherits this by copy-on-write, so
-#: the dispatch payload shrinks to a bare shard index and no tweet is
-#: ever pickled toward a worker.
-_FORK_STATE: tuple[list[Shard], ShardContext] | None = None
-
-
-def _shard_task_fork(index: int) -> bytes:
-    """Fork-mode worker entry point: look the shard up, return a frame.
-
-    The result is wire-encoded in the worker
-    (:func:`repro.pipeline.wire.encode_shard_result`), so the record
-    graph crosses the result pipe as corpus lines inside one ``bytes``
-    value, not as pickled objects.
-    """
-    state = _FORK_STATE
-    if state is None:  # pragma: no cover - dispatch bug guard
-        raise RuntimeError("fork shard state is not set in this process")
-    shards, context = state
-    return encode_shard_result(*_run_shard(index, shards[index], context))
-
-
 def _shard_task(payload: tuple[int, Shard, ShardContext]) -> bytes:
-    """Spawn-compatible worker entry point carrying the shard itself."""
+    """The worker entry point: process one shard and frame the result.
+
+    The supervisor starts one process per attempt with ``payload`` as
+    its argument: under ``fork`` the child inherits it by copy-on-write,
+    under ``spawn`` it is pickled.  The result goes back as one
+    :mod:`repro.pipeline.wire` frame.
+    """
     index, shard, context = payload
     return encode_shard_result(*_run_shard(index, shard, context))
 
@@ -185,36 +167,17 @@ def run_sharded(
         ConfigError: if ``workers`` is not a positive integer or the
             fault plan is not absorbable by the policy.
     """
-    global _FORK_STATE
     telemetry = obs.current()
     shards = shard_by_id(source, workers)
-    labels = [f"shard {index}" for index in range(len(shards))]
-    outcomes: list[bytes | None]
     context: ShardContext = (config, geocoder, matcher, telemetry.enabled)
-    if pick_start_method() == "fork":
-        # Slim dispatch: workers inherit the shards via fork and receive
-        # only their index over the pipe.
-        _FORK_STATE = (shards, context)
-        try:
-            outcomes, health = run_supervised(
-                _shard_task_fork,
-                list(range(len(shards))),
-                workers=workers,
-                policy=policy,
-                fault_plan=worker_faults,
-                labels=labels,
-            )
-        finally:
-            _FORK_STATE = None
-    else:  # pragma: no cover - non-fork platforms only
-        outcomes, health = run_supervised(
-            _shard_task,
-            [(index, shard, context) for index, shard in enumerate(shards)],
-            workers=workers,
-            policy=policy,
-            fault_plan=worker_faults,
-            labels=labels,
-        )
+    outcomes, health = run_supervised(
+        _shard_task,
+        [(index, shard, context) for index, shard in enumerate(shards)],
+        workers=workers,
+        policy=policy,
+        fault_plan=worker_faults,
+        labels=[f"shard {index}" for index in range(len(shards))],
+    )
     report = PipelineReport()
     tagged: list[tuple[int, CollectedTweet]] = []
     # Absorb worker buffers in shard-index order (outcomes align with

@@ -3,10 +3,12 @@
 Used by the supervised pool (:mod:`repro.supervise`) behind the sharded
 collection pipeline (:mod:`repro.pipeline.parallel`), parallel K-Means
 restarts (:mod:`repro.cluster.kmeans`), and the parallel k-sweep
-(:mod:`repro.core.user_clusters`).  Centralizing the start-method choice
-keeps every fan-out site consistent: ``fork`` where available (Linux) —
-a worker inherits the parent's imports, so there is no per-process
-re-import cost — falling back to the platform default elsewhere.
+(:mod:`repro.core.user_clusters`).  :func:`pool_context` is the one
+start-method choice every fan-out site runs under: ``fork`` where
+available (Linux) — a worker inherits the parent's imports and its task
+arguments, so nothing is re-imported or pickled on the way in — falling
+back to the platform default elsewhere, where task arguments are
+pickled.  The task code is the same either way.
 
 :func:`reaped` is the unified teardown every fan-out site runs under: a
 parent that dies mid-fan-out (a raised quarantine, a test failure, a
@@ -26,15 +28,15 @@ from typing import TypeVar
 T = TypeVar("T")
 
 
-def pick_start_method() -> str:
-    """``fork`` when the platform offers it, else the platform default."""
-    available = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in available else available[0]
-
-
 def pool_context() -> multiprocessing.context.BaseContext:
-    """The multiprocessing context every repro pool should use."""
-    return multiprocessing.get_context(pick_start_method())
+    """The multiprocessing context every repro pool should use.
+
+    ``fork`` when the platform offers it, else the platform default.
+    """
+    available = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in available else available[0]
+    )
 
 
 @contextmanager

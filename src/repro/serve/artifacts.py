@@ -25,11 +25,10 @@ with private caches and observe nothing new.
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.storage.manifest import load_manifest
+from repro.storage.manifest import build_manifest, load_manifest
 
 
 def corpus_generation(run_dir: str | Path) -> str:
@@ -45,13 +44,9 @@ def corpus_generation(run_dir: str | Path) -> str:
     """
     corpus_path = Path(run_dir) / "corpus.jsonl"
     manifest = load_manifest(corpus_path)
-    if manifest is not None:
-        return manifest.sha256
-    digest = hashlib.sha256()
-    with open(corpus_path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    if manifest is None:
+        manifest = build_manifest(corpus_path, records=False)
+    return manifest.sha256
 
 
 class ArtifactCache:

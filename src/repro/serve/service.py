@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import enum
 import json
-import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, TypeGuard, cast
+from typing import Any, Callable, TypeGuard, cast
 
 from repro.core.attention import build_attention_matrix
 from repro.core.characterize import RegionCharacterization, characterize_regions
@@ -94,6 +94,13 @@ class QueryRequest:
             service default.
         poison: marks an injected poison query (dead-letters on
             dequeue); set by the load-chaos plan, never by clients.
+
+    Raises:
+        QueryError: on an empty ``request_id`` or ``kind``, an
+            ``arrival`` that is not a finite number >= 0, or a
+            ``deadline`` that is not ``None`` or a finite number > 0
+            (bools are not numbers).  The request file parser, storm
+            clones and in-process callers share this one check.
     """
 
     request_id: str
@@ -102,6 +109,26 @@ class QueryRequest:
     params: tuple[tuple[str, str], ...] = ()
     deadline: float | None = None
     poison: bool = False
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.request_id, str) or not self.request_id:
+            raise QueryError("request_id must be a non-empty string")
+        if not isinstance(self.kind, str) or not self.kind:
+            raise QueryError("kind must be a non-empty string")
+        if not _is_finite_number(self.arrival) or self.arrival < 0:
+            raise QueryError(
+                f"arrival must be a finite number >= 0, got {self.arrival!r}"
+            )
+        # Times are floats whatever the caller passed, so a response's
+        # bytes never depend on whether a request file wrote 1 or 1.0.
+        object.__setattr__(self, "arrival", float(self.arrival))
+        if self.deadline is not None:
+            if not _is_finite_number(self.deadline) or self.deadline <= 0:
+                raise QueryError(
+                    "deadline must be None or a finite number > 0, got "
+                    f"{self.deadline!r}"
+                )
+            object.__setattr__(self, "deadline", float(self.deadline))
 
     def param(self, key: str) -> str | None:
         for name, value in self.params:
@@ -552,7 +579,10 @@ class QueryService:
         self, request: QueryRequest, level: int, report: OverloadReport
     ) -> Response:
         deadline = Deadline.from_budget(
-            request.arrival, request.deadline or self.policy.default_deadline
+            request.arrival,
+            self.policy.default_deadline
+            if request.deadline is None
+            else request.deadline,
         )
         now = self.clock.now()
         if deadline.expired(now):
@@ -775,52 +805,36 @@ def read_requests_jsonl(
     return requests, tuple(malformed)
 
 
-def _request_from_dict(data: dict[str, object]) -> QueryRequest:
+def _request_from_dict(data: dict[str, Any]) -> QueryRequest:
     if not isinstance(data, dict):
         raise QueryError("request line must be a JSON object")
-    request_id = data["id"]
-    kind = data["kind"]
-    arrival = data.get("arrival", 0.0)
-    if not isinstance(request_id, str) or not request_id:
-        raise QueryError("id must be a non-empty string")
-    if not isinstance(kind, str) or not kind:
-        raise QueryError("kind must be a non-empty string")
-    if not _is_finite_number(arrival):
-        raise QueryError("arrival must be a finite number")
-    if arrival < 0:
-        raise QueryError("arrival must be >= 0")
     params_raw = data.get("params", {})
     if not isinstance(params_raw, dict):
         raise QueryError("params must be an object")
-    params = tuple(
-        (str(key), str(value)) for key, value in sorted(params_raw.items())
-    )
-    deadline_raw = data.get("deadline")
-    deadline: float | None = None
-    if deadline_raw is not None:
-        if not _is_finite_number(deadline_raw) or deadline_raw <= 0:
-            raise QueryError("deadline must be a positive finite number")
-        deadline = float(deadline_raw)
+    # QueryRequest checks the id, kind and times itself.
     return QueryRequest(
-        request_id=request_id,
-        kind=kind,
-        arrival=float(arrival),
-        params=params,
-        deadline=deadline,
+        request_id=data["id"],
+        kind=data["kind"],
+        arrival=data.get("arrival", 0.0),
+        params=tuple(
+            (str(key), str(value)) for key, value in sorted(params_raw.items())
+        ),
+        deadline=data.get("deadline"),
     )
 
 
 def _is_finite_number(value: object) -> TypeGuard[int | float]:
-    """A JSON number the simulated clock can add: not a bool, NaN or ±inf.
+    """A number the simulated clock can add: not a bool, NaN or ±inf.
 
     ``json.loads`` accepts ``NaN`` and ``Infinity``; a NaN arrival would
     stall the serve loop (no later request ever becomes due) and a NaN
-    deadline would never expire.
+    deadline would never expire.  An integer beyond the float range is
+    refused too: converting it would raise ``OverflowError``.
     """
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and math.isfinite(value)
+        and abs(value) <= sys.float_info.max
     )
 
 

@@ -76,6 +76,20 @@ def test_wallclock_rule_exempts_benchmarks() -> None:
     assert lint_source(source, Path("src/repro/pipeline/mod.py")) != []
 
 
+def test_repository_benchmark_is_benchmark_code() -> None:
+    source = (
+        "import os\n"
+        "import time\n"
+        "started = time.perf_counter()\n"
+        "with open('result.json', 'w') as handle:\n"
+        "    handle.write('{}')\n"
+        "os.replace('result.json', 'final.json')\n"
+    )
+    assert lint_source(source, Path("perfbench/run.py")) == []
+    rules = {f.rule for f in lint_source(source, Path("src/repro/run.py"))}
+    assert rules == {"RPL002", "RPL008"}
+
+
 def test_broad_except_exempts_test_code() -> None:
     source = (
         "def f(x):\n"

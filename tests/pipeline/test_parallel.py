@@ -1,6 +1,7 @@
 """Tests for the sharded parallel pipeline."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -223,6 +224,37 @@ class TestPipelineComponentsReachWorkers:
         serial_corpus, serial_report = pipeline.run(source)
         assert serial_report.retained == 3
         corpus, report = pipeline.run(source, **SHARDED_RUNS[run])
+        assert corpus_bytes(corpus) == corpus_bytes(serial_corpus)
+        report.compute = None
+        assert report == serial_report
+
+
+class TestSpawnStartMethod:
+    """Platforms without ``fork`` dispatch through the same entry point."""
+
+    def test_spawned_workers_match_serial(self, monkeypatch):
+        started = []
+
+        def spawn_context():
+            started.append("spawn")
+            return multiprocessing.get_context("spawn")
+
+        monkeypatch.setattr("repro.supervise.pool_context", spawn_context)
+        pipeline = CollectionPipeline(
+            matcher=OrganMatcher(aliases={"liver": Organ.LIVER})
+        )
+        organs = ("liver", "kidney", "heart")
+        locations = ("Wichita, KS", "London", "Boston, MA")
+        source = [
+            tweet(f"{organs[i % 3]} donor", locations[i // 3 % 3], i)
+            for i in range(300)
+        ]
+        serial_corpus, serial_report = pipeline.run(source)
+        assert serial_report.no_mentions > 0
+        corpus, report = pipeline.run(source, workers=2)
+        assert started == ["spawn"]
+        assert report.compute is not None
+        assert report.compute.completed == 2
         assert corpus_bytes(corpus) == corpus_bytes(serial_corpus)
         report.compute = None
         assert report == serial_report

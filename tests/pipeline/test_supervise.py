@@ -1,6 +1,7 @@
 """Tests for the supervised process pool: retries, deadlines, quarantine."""
 
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -26,6 +27,10 @@ def square(x: int) -> int:
 
 def boom(x: int) -> int:
     raise ValueError(f"bad task {x}")
+
+
+def call(task):
+    return task()
 
 
 class TestPolicyValidation:
@@ -111,6 +116,25 @@ class TestCleanRuns:
     def test_no_lingering_children(self):
         run_supervised(square, list(range(8)), workers=4)
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the fork start method is unavailable on this platform",
+)
+class TestForkInheritance:
+    def test_unpicklable_payload_reaches_forked_workers(self, monkeypatch):
+        """Under ``fork`` a task's payload is inherited, never pickled."""
+        monkeypatch.setattr(
+            "repro.supervise.pool_context",
+            lambda: multiprocessing.get_context("fork"),
+        )
+        tasks = [lambda: 6 * 7, lambda: "from a lambda"]
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(tasks[0])
+        results, health = run_supervised(call, tasks, workers=2)
+        assert results == [42, "from a lambda"]
+        assert health.completed == 2
 
 
 class TestFaultRecovery:

@@ -1,7 +1,8 @@
-"""Tests for the slim IPC wire format."""
+"""Tests for the shard-result wire frame."""
 
 from __future__ import annotations
 
+import pickle
 from datetime import datetime, timezone
 
 import pytest
@@ -54,37 +55,35 @@ def make_report() -> PipelineReport:
     )
 
 
-def record_section(frame: bytes) -> bytes:
-    """The record lines of an untraced frame (everything after the header)."""
-    return frame[frame.index(b"\n") + 1 :]
-
-
-def with_record_section(frame: bytes, section: bytes) -> bytes:
-    return frame[: frame.index(b"\n") + 1] + section
+def frame_of(*parts: object) -> bytes:
+    """A hand-built pickle, for frames the encoder would never write."""
+    return pickle.dumps(parts, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 class TestRecordLines:
+    """Records come back with the corpus lines they went out with."""
+
     def test_round_trip(self):
         records = make_records()
         frame = encode_shard_result(records, make_report(), None)
-        assert record_section(frame) == b"".join(
-            f"{record.to_json()}\n".encode() for __, record in records
-        )
-        assert decode_shard_result(frame)[0] == records
+        out_records, __, __ = decode_shard_result(frame)
+        assert [
+            (position, record.to_json()) for position, record in out_records
+        ] == [(position, record.to_json()) for position, record in records]
 
     def test_empty(self):
         frame = encode_shard_result([], make_report(), None)
-        assert record_section(frame) == b""
-        assert decode_shard_result(frame)[0] == []
+        records, report, __ = decode_shard_result(frame)
+        assert records == []
+        assert report == make_report()
 
     def test_malformed_line_raises(self):
-        frame = encode_shard_result(make_records(1), make_report(), None)
-        with pytest.raises(SerializationError):
-            decode_shard_result(
-                with_record_section(frame, b'{"not a record": true}\n')
-            )
-        with pytest.raises(SerializationError):
-            decode_shard_result(with_record_section(frame, b"{truncated\n"))
+        """A line where a record belongs: its dict, or raw line text."""
+        (position, record), = make_records(1)
+        for line in (record.to_dict(), record.to_json(), "{truncated"):
+            frame = frame_of(WIRE_VERSION, [(position, line)], make_report(), None)
+            with pytest.raises(SerializationError, match="records"):
+                decode_shard_result(frame)
 
 
 class TestShardFrame:
@@ -105,6 +104,7 @@ class TestShardFrame:
         assert out_snapshot is not None
         absorbed = Telemetry()
         absorbed.absorb(out_snapshot)
+        assert absorbed.metrics.counter_value("pipeline.collected") == 5
 
     def test_empty_shard(self):
         frame = encode_shard_result([], PipelineReport(), None)
@@ -114,41 +114,70 @@ class TestShardFrame:
         assert snapshot is None
 
     def test_wrong_version_rejected(self):
-        frame = encode_shard_result([], PipelineReport(), None)
-        bumped = frame.replace(
-            f'"v":{WIRE_VERSION}'.encode(),
-            f'"v":{WIRE_VERSION + 1}'.encode(),
-            1,
-        )
-        with pytest.raises(SerializationError, match="version"):
-            decode_shard_result(bumped)
+        for version in (WIRE_VERSION - 1, WIRE_VERSION + 1, "3", None):
+            frame = frame_of(version, make_records(1), make_report(), None)
+            with pytest.raises(SerializationError, match="version"):
+                decode_shard_result(frame)
 
     def test_missing_header_rejected(self):
-        with pytest.raises(SerializationError, match="header"):
-            decode_shard_result(b"no newline anywhere")
+        frame = pickle.dumps((make_records(1), make_report(), None))
+        with pytest.raises(SerializationError, match="not a shard frame"):
+            decode_shard_result(frame)
 
     def test_truncated_records_rejected(self):
         frame = encode_shard_result(make_records(3), make_report(), None)
-        # Cut inside the record section: header promises 3 records.
-        header_end = frame.index(b"\n")
-        first_record_end = frame.index(b"\n", header_end + 1)
-        with pytest.raises(SerializationError, match="truncated"):
-            decode_shard_result(frame[: first_record_end + 1])
+        for cut in (0, 1, 2, 11, len(frame) // 3, len(frame) // 2, len(frame) - 1):
+            with pytest.raises(SerializationError, match="undecodable"):
+                decode_shard_result(frame[:cut])
 
     def test_short_snapshot_tail_rejected(self):
         telemetry = Telemetry()
         telemetry.inc("x", 1)
         frame = encode_shard_result([], make_report(), telemetry.snapshot())
-        with pytest.raises(SerializationError, match="tail"):
+        with pytest.raises(SerializationError, match="undecodable"):
             decode_shard_result(frame[:-4])
 
     def test_corrupt_record_line_rejected(self):
-        frame = encode_shard_result(make_records(1), make_report(), None)
-        header_end = frame.index(b"\n")
-        corrupted = (
-            frame[: header_end + 1]
-            + b"{garbage}\n"
-            + frame[frame.index(b"\n", header_end + 1) + 1 :]
-        )
-        with pytest.raises(SerializationError):
-            decode_shard_result(corrupted)
+        """A record slot that is not a (position, record) pair."""
+        (position, record), = make_records(1)
+        for records in (
+            [record],
+            [(str(position), record)],
+            [(position, record, position)],
+            {position: record},
+        ):
+            frame = frame_of(WIRE_VERSION, records, make_report(), None)
+            with pytest.raises(SerializationError, match="records"):
+                decode_shard_result(frame)
+
+
+class TestNotAFrame:
+    @pytest.mark.parametrize(
+        "garbage",
+        [
+            b"",
+            b"no newline anywhere",
+            b"\x80\x05garbage",
+            # A wire v2 frame: a JSON header line.
+            b'{"v":2,"positions":[],"report":{},"snapshot":0}\n',
+        ],
+    )
+    def test_garbage_bytes_rejected(self, garbage):
+        with pytest.raises(SerializationError, match="undecodable"):
+            decode_shard_result(garbage)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [None, 42, "frame", [WIRE_VERSION, [], PipelineReport(), None], ()],
+        ids=repr,
+    )
+    def test_valid_pickle_that_is_not_a_frame_rejected(self, payload):
+        with pytest.raises(SerializationError, match="not a shard frame"):
+            decode_shard_result(pickle.dumps(payload))
+
+    def test_wrong_report_or_snapshot_type_rejected(self):
+        report = make_report()
+        with pytest.raises(SerializationError, match="report"):
+            decode_shard_result(frame_of(WIRE_VERSION, [], report.to_dict(), None))
+        with pytest.raises(SerializationError, match="snapshot"):
+            decode_shard_result(frame_of(WIRE_VERSION, [], report, {"spans": []}))

@@ -1,11 +1,14 @@
 """Record-codec byte format, held across every JSONL writer and frame.
 
-Every stage hands tweet records on as JSON lines: the firehose, the
-corpus, the incremental sink, the transport frames, the shard results,
-the serve responses and the dead letters.  Their byte format is fixed:
-one ``json.dumps(x.to_dict(), ensure_ascii=False)`` line per record
+Every stage but one hands tweet records on as JSON lines: the
+firehose, the corpus, the incremental sink, the transport frames, the
+serve responses and the dead letters.  Their byte format is fixed: one
+``json.dumps(x.to_dict(), ensure_ascii=False)`` line per record
 (responses with ``sort_keys=True``), each durable file with a sidecar
 equal to :func:`repro.storage.manifest.build_manifest` of its bytes.
+The exception is the shard-result frame, a pickle that must give back
+records whose lines are unchanged and must refuse anything that is not
+a whole frame of the current version.
 
 The records are drawn at three seeds from text that stresses the
 encoder: non-ASCII, JSON escapes, control characters, U+2028/U+2029,
@@ -13,6 +16,7 @@ encoder: non-ASCII, JSON escapes, control characters, U+2028/U+2029,
 """
 
 import json
+import pickle
 import random
 from datetime import datetime, timedelta, timezone
 
@@ -26,7 +30,11 @@ from repro.obs.telemetry import Telemetry
 from repro.organs import Organ
 from repro.pipeline.incremental import IncrementalCollector
 from repro.pipeline.runner import CollectionPipeline, PipelineReport
-from repro.pipeline.wire import decode_shard_result, encode_shard_result
+from repro.pipeline.wire import (
+    WIRE_VERSION,
+    decode_shard_result,
+    encode_shard_result,
+)
 from repro.serve import Outcome, Response, write_responses_jsonl
 from repro.storage.manifest import build_manifest, load_manifest
 from repro.twitter.faults import FaultPlan, FaultySource
@@ -221,12 +229,6 @@ def shard_result(seed: int) -> tuple[list[tuple[int, CollectedTweet]], PipelineR
     return list(zip(positions, records)), report
 
 
-def record_line_span(frame: bytes) -> tuple[int, int]:
-    """Byte span of the first record line of an untraced frame."""
-    start = frame.index(b"\n") + 1
-    return start, frame.index(b"\n", start)
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 class TestShardFrame:
     def test_round_trip(self, seed):
@@ -255,18 +257,57 @@ class TestShardFrame:
     )
     def test_valid_json_that_is_not_a_record_raises(self, seed, replacement):
         records, report = shard_result(seed)
-        frame = encode_shard_result(records, report, None)
-        start, end = record_line_span(frame)
-        # Swap the record object for a non-record, keeping any framing
-        # around it on the line.
-        first, last = frame.index(b"{", start), frame.rindex(b"}", start, end)
-        corrupted = frame[:first] + replacement + frame[last + 1 :]
+        # The first record's slot holds a decoded JSON value instead.
+        (position, __), *rest = records
+        corrupted = [(position, json.loads(replacement)), *rest]
         with pytest.raises(SerializationError):
-            decode_shard_result(corrupted)
+            decode_shard_result(pickle.dumps((WIRE_VERSION, corrupted, report, None)))
 
     def test_invalid_json_record_line_raises(self, seed):
         records, report = shard_result(seed)
-        frame = encode_shard_result(records, report, None)
-        start, end = record_line_span(frame)
+        # The first record's slot holds raw line text instead.
+        (position, __), *rest = records
+        corrupted = [(position, "{garbage"), *rest]
         with pytest.raises(SerializationError):
-            decode_shard_result(frame[:start] + b"{garbage" + frame[end:])
+            decode_shard_result(pickle.dumps((WIRE_VERSION, corrupted, report, None)))
+
+    def test_cut_frame_raises(self, seed):
+        records, report = shard_result(seed)
+        frame = encode_shard_result(records, report, None)
+        for cut in (0, 1, len(frame) // 4, len(frame) // 2, len(frame) - 1):
+            with pytest.raises(SerializationError):
+                decode_shard_result(frame[:cut])
+
+    def test_garbage_raises(self, seed):
+        records, report = shard_result(seed)
+        # The same shard as a wire v2 frame: a JSON header, corpus lines.
+        header = {
+            "v": 2,
+            "positions": [position for position, __ in records],
+            "report": report.to_dict(),
+            "snapshot": 0,
+        }
+        v2_frame = (json.dumps(header) + "\n").encode() + plain_lines(
+            record for __, record in records
+        )
+        frame = encode_shard_result(records, report, None)
+        for garbage in (v2_frame, b"\x00" + frame, b"not a frame"):
+            with pytest.raises(SerializationError):
+                decode_shard_result(garbage)
+
+    def test_valid_pickle_that_is_not_a_frame_raises(self, seed):
+        records, report = shard_result(seed)
+        for payload in (
+            records,
+            (records, report, None),
+            {"v": WIRE_VERSION, "records": records, "report": report},
+            (WIRE_VERSION, records, report.to_dict(), None),
+        ):
+            with pytest.raises(SerializationError):
+                decode_shard_result(pickle.dumps(payload))
+
+    def test_bumped_version_raises(self, seed):
+        records, report = shard_result(seed)
+        frame = pickle.dumps((WIRE_VERSION + 1, records, report, None))
+        with pytest.raises(SerializationError, match="version"):
+            decode_shard_result(frame)

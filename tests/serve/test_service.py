@@ -20,6 +20,7 @@ from repro.serve.breaker import BreakerPolicy
 from repro.serve.degrade import BrownoutPolicy
 from repro.serve.service import (
     Outcome,
+    QueryError,
     QueryRequest,
     QueryService,
     ServicePolicy,
@@ -156,6 +157,58 @@ class TestRequestParsing:
             "line-1 dead_lettered malformed_request",
             "ok completed ok",
         ]
+
+
+    def test_out_of_range_integer_time_is_malformed(self, tmp_path):
+        """An integer too large for a float once escaped the parser as an
+        ``OverflowError`` instead of dead-lettering its line."""
+        path = tmp_path / "requests.jsonl"
+        path.write_text(
+            f'{{"id": "big", "kind": "health", "arrival": 1{"0" * 400}}}\n'
+            '{"id": "ok", "kind": "health", "arrival": 0.5}\n'
+        )
+        requests, malformed = read_requests_jsonl(path)
+        assert [req.request_id for req in requests] == ["ok"]
+        assert malformed == (("line-1", "malformed_request"),)
+
+
+class TestRequestValidation:
+    """A request built in code is checked like a parsed one."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("request_id", ""),
+            ("request_id", None),
+            ("request_id", 7),
+            ("kind", ""),
+            ("kind", None),
+            ("arrival", float("nan")),
+            ("arrival", float("inf")),
+            ("arrival", float("-inf")),
+            ("arrival", -1.0),
+            ("arrival", True),
+            pytest.param("arrival", "0.5", id="arrival-str"),
+            ("arrival", None),
+            pytest.param("arrival", 10**400, id="arrival-10**400"),
+            ("deadline", float("nan")),
+            ("deadline", float("inf")),
+            ("deadline", 0.0),
+            ("deadline", -1.0),
+            ("deadline", False),
+            pytest.param("deadline", "1.5", id="deadline-str"),
+        ],
+    )
+    def test_bad_value_raises_at_construction(self, field, value):
+        fields = {"request_id": "r", "kind": "health", "arrival": 0.0}
+        fields[field] = value
+        with pytest.raises(QueryError, match=field):
+            QueryRequest(**fields)
+
+    def test_integer_times_become_floats(self):
+        req = QueryRequest(request_id="r", kind="health", arrival=3, deadline=2)
+        assert (req.arrival, req.deadline) == (3.0, 2.0)
+        assert type(req.arrival) is float and type(req.deadline) is float
 
 
 class TestHappyPath:
