@@ -149,18 +149,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     """Execute (or resume) a journaled end-to-end analysis run."""
     from repro.pipeline.journal import RunParams, run_stages
 
-    params = RunParams(
-        scale=args.scale,
-        seed=args.seed,
-        workers=args.workers,
-        k=args.k,
-        alpha=args.alpha,
-        chaos=args.chaos,
-        chaos_seed=args.chaos_seed,
-        worker_chaos=args.worker_chaos,
-        worker_chaos_seed=args.worker_chaos_seed,
-    )
     try:
+        params = RunParams(
+            scale=args.scale,
+            seed=args.seed,
+            workers=args.workers,
+            k=args.k,
+            alpha=args.alpha,
+            chaos=args.chaos,
+            chaos_seed=args.chaos_seed,
+            worker_chaos=args.worker_chaos,
+            worker_chaos_seed=args.worker_chaos_seed,
+        )
         summary = run_stages(
             Path(args.run_dir),
             params,

@@ -5,18 +5,9 @@ the paper's §IV-C model selection needs: inertia, multiple restarts, and
 deterministic seeding.  Fully vectorized; comfortably handles the paper's
 ~72k × 6 user matrix.
 
-Restarts are statistically independent: each draws from its own RNG
-stream spawned from the model seed, so the winning fit is identical
-whether restarts run serially or fan out across worker processes
-(``workers > 1``), and ties on inertia break toward the lowest restart
-index in both modes.
-
-Parallel restarts run under the supervised pool (:mod:`repro.supervise`):
-a worker that crashes, hangs, or raises mid-restart is retried
-deterministically and the winning fit is unchanged.  Unlike the sharded
-collection pipeline, a model fit must never *degrade* — a restart chunk
-quarantined after exhausting its retries raises :class:`ClusteringError`
-rather than silently fitting with fewer restarts.
+Restarts run in-process, one after another: restart ``i`` draws from the
+``i``-th RNG stream spawned from the model seed, and the first of the
+lowest inertias wins, so a fit is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -26,9 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ClusteringError
-from repro.faults.compute import WorkerFaultPlan
-from repro.procpool import split_chunks
-from repro.supervise import SupervisorPolicy, run_supervised
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,23 +51,17 @@ class KMeans:
 
     Args:
         k: number of clusters.
-        n_init: independent restarts; the lowest-inertia fit wins.
+        n_init: independent restarts; the lowest-inertia fit wins, the
+            earliest on a tie.
         max_iter: Lloyd iteration cap per restart.
-        tol: convergence threshold on squared center movement.
+        tol: absolute convergence threshold: a restart stops once the
+            summed squared movement of all centers in one Lloyd
+            iteration is <= ``tol``.
         seed: RNG seed; every restart draws from its own stream spawned
             from this seed.
-        workers: processes to fan the restarts across; ``1`` runs them
-            serially.  The winning fit is identical for any value.
-        supervisor: retry/deadline policy for the supervised pool;
-            forces the supervised path even at ``workers=1``.
-        fault_plan: compute-fault plan injected into restart workers
-            (chaos testing); forces the supervised path even at
-            ``workers=1``.
 
     Raises:
-        ClusteringError: on invalid parameters, k > number of rows, or a
-            restart chunk quarantined by the supervisor (a fit must
-            never silently use fewer restarts).
+        ClusteringError: on invalid parameters or k > number of rows.
     """
 
     def __init__(
@@ -89,9 +71,6 @@ class KMeans:
         max_iter: int = 200,
         tol: float = 1e-6,
         seed: int = 0,
-        workers: int = 1,
-        supervisor: SupervisorPolicy | None = None,
-        fault_plan: WorkerFaultPlan | None = None,
     ):
         if k < 1:
             raise ClusteringError(f"k must be >= 1, got {k}")
@@ -99,16 +78,11 @@ class KMeans:
             raise ClusteringError(f"n_init must be >= 1, got {n_init}")
         if max_iter < 1:
             raise ClusteringError(f"max_iter must be >= 1, got {max_iter}")
-        if workers < 1:
-            raise ClusteringError(f"workers must be >= 1, got {workers}")
         self.k = k
         self.n_init = n_init
         self.max_iter = max_iter
         self.tol = tol
         self.seed = seed
-        self.workers = workers
-        self.supervisor = supervisor
-        self.fault_plan = fault_plan
 
     def fit(self, rows: np.ndarray) -> KMeansResult:
         """Cluster the rows of a (m, n) matrix."""
@@ -118,36 +92,14 @@ class KMeans:
         m = matrix.shape[0]
         if self.k > m:
             raise ClusteringError(f"k={self.k} exceeds number of rows {m}")
-        restarts = list(range(self.n_init))
-        supervised = self.supervisor is not None or self.fault_plan is not None
-        if not supervised and (self.workers == 1 or self.n_init == 1):
-            winners = [_fit_restart_chunk(self, matrix, restarts)]
-        else:
-            chunks = split_chunks(restarts, self.workers)
-            outcomes, health = run_supervised(
-                _restart_chunk_task,
-                [(self, matrix, chunk) for chunk in chunks],
-                workers=min(self.workers, len(chunks)),
-                policy=self.supervisor,
-                fault_plan=self.fault_plan,
-                labels=[
-                    f"restarts {chunk[0]}..{chunk[-1]}" for chunk in chunks
-                ],
-            )
-            if health.degraded:
-                lost = ", ".join(
-                    letter.label for letter in health.dead_letters
-                )
-                raise ClusteringError(
-                    "K-Means restart chunks were quarantined after "
-                    f"exhausting retries ({lost}); refusing to fit with "
-                    "fewer restarts"
-                )
-            winners = [outcome for outcome in outcomes if outcome is not None]
-        # Lowest inertia wins; ties break to the lowest restart index so
-        # the outcome never depends on how restarts were chunked.
-        __, best = min(winners, key=lambda item: (item[1].inertia, item[0]))
-        return best
+        streams = np.random.SeedSequence(self.seed).spawn(self.n_init)
+        fits = (
+            self._fit_once(matrix, np.random.default_rng(stream))
+            for stream in streams
+        )
+        # ``min`` keeps the first of equal keys: on an inertia tie the
+        # earliest restart wins.
+        return min(fits, key=lambda fit: fit.inertia)
 
     def _fit_once(self, matrix: np.ndarray, rng: np.random.Generator) -> KMeansResult:
         centers = self._init_centers(matrix, rng)
@@ -208,38 +160,6 @@ class KMeans:
             new_sq = _squared_distances(matrix, centers[index : index + 1]).ravel()
             closest_sq = np.minimum(closest_sq, new_sq)
         return centers
-
-
-def _restart_chunk_task(
-    payload: tuple[KMeans, np.ndarray, list[int]],
-) -> tuple[int, KMeansResult]:
-    """Worker entry point: unpack one supervised-pool restart chunk."""
-    model, matrix, restarts = payload
-    return _fit_restart_chunk(model, matrix, restarts)
-
-
-def _fit_restart_chunk(
-    model: KMeans, matrix: np.ndarray, restarts: list[int]
-) -> tuple[int, KMeansResult]:
-    """Run a chunk of restarts; return (restart index, result) of the best.
-
-    Module-level so worker processes can unpickle it; restart ``i`` uses
-    the i-th RNG stream spawned from the model seed regardless of which
-    chunk (or process) runs it.
-    """
-    streams = np.random.SeedSequence(model.seed).spawn(model.n_init)
-    best: KMeansResult | None = None
-    best_index = -1
-    for index in restarts:
-        result = model._fit_once(matrix, np.random.default_rng(streams[index]))
-        if best is None or result.inertia < best.inertia:
-            best, best_index = result, index
-    if best is None:
-        raise ClusteringError(
-            "restart chunk is empty: no restarts were assigned to this "
-            "worker"
-        )
-    return best_index, best
 
 
 def _squared_distances(matrix: np.ndarray, centers: np.ndarray) -> np.ndarray:

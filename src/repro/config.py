@@ -167,13 +167,10 @@ class UserClusteringConfig:
         k: number of clusters; the paper selects 12.
         n_init: k-means++ restarts; the best inertia wins.
         max_iter: Lloyd iteration cap per restart.
-        tol: relative center-shift convergence tolerance.
+        tol: absolute convergence threshold: a restart stops once the
+            summed squared movement of all centers in one Lloyd
+            iteration is <= ``tol``.
         seed: RNG seed for reproducible clustering.
-        workers: processes to fan K-Means restarts (and model-selection
-            sweeps) across; results are identical for any value.
-        silhouette_memory_mb: memory budget for chunked silhouette
-            evaluation — bounds the distance-block working set instead of
-            materializing the full m×m matrix.
     """
 
     k: int = 12
@@ -181,8 +178,6 @@ class UserClusteringConfig:
     max_iter: int = 200
     tol: float = 1e-6
     seed: int = 0
-    workers: int = 1
-    silhouette_memory_mb: float = 256.0
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -191,13 +186,6 @@ class UserClusteringConfig:
             raise ConfigError(f"n_init must be >= 1, got {self.n_init}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.silhouette_memory_mb <= 0:
-            raise ConfigError(
-                "silhouette_memory_mb must be > 0, got "
-                f"{self.silhouette_memory_mb}"
-            )
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,14 +5,13 @@ not just the argmax organ.  The paper chooses k = 12 after comparing
 inertia, average cluster size, and silhouette coefficient across k, noting
 k must be at least the number of organs so each organ can own a cluster.
 
-The k-sweep is the model-selection hot path — |ks| independent fits of
-the full matrix — so :func:`sweep_k` can fan the candidate ks across
-worker processes; the sweep result is identical for any worker count.
+The k-sweep (:func:`sweep_k`) is |ks| independent in-process fits of the
+full matrix, one per candidate k, under the same restarts and seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,9 +21,7 @@ from repro.config import UserClusteringConfig
 from repro.core.aggregation import ranked_profile
 from repro.core.attention import AttentionMatrix
 from repro.errors import ClusteringError
-from repro.faults.compute import WorkerFaultPlan
 from repro.organs import N_ORGANS, Organ
-from repro.supervise import SupervisorPolicy, run_supervised
 
 #: Silhouette subsample cap; full silhouette is O(m²) and the paper-scale
 #: matrix has ~72k rows.
@@ -93,30 +90,36 @@ class KSelectionSweep:
         return self.ks[int(np.argmax(self.silhouettes))]
 
 
+def check_user_k(k: int) -> None:
+    """The paper's constraint on k: at least one cluster per organ.
+
+    Raises:
+        ClusteringError: if ``k < N_ORGANS``.
+    """
+    if k < N_ORGANS:
+        raise ClusteringError(
+            f"k must be >= {N_ORGANS} (one cluster per organ), got {k}"
+        )
+
+
 def cluster_users(
     attention: AttentionMatrix, config: UserClusteringConfig | None = None
 ) -> UserClustering:
     """Run the Fig. 7 user clustering."""
     config = config or UserClusteringConfig()
-    if config.k < N_ORGANS:
-        # The paper's constraint: at least one cluster per organ.
-        raise ClusteringError(
-            f"k must be >= {N_ORGANS} (one cluster per organ), got {config.k}"
-        )
+    check_user_k(config.k)
     result = KMeans(
         k=config.k,
         n_init=config.n_init,
         max_iter=config.max_iter,
         tol=config.tol,
         seed=config.seed,
-        workers=config.workers,
     ).fit(attention.normalized)
     score = silhouette_score(
         attention.normalized,
         result.labels,
         sample_size=_SILHOUETTE_SAMPLE,
         seed=config.seed,
-        memory_budget_mb=config.silhouette_memory_mb,
     )
     return UserClustering(
         result=result,
@@ -129,94 +132,24 @@ def sweep_k(
     attention: AttentionMatrix,
     ks: tuple[int, ...] = tuple(range(N_ORGANS, 21)),
     config: UserClusteringConfig | None = None,
-    workers: int = 1,
-    supervisor: SupervisorPolicy | None = None,
-    worker_faults: WorkerFaultPlan | None = None,
 ) -> KSelectionSweep:
     """Evaluate K-Means across candidate k (the paper's selection step).
 
-    With ``workers > 1`` the candidate ks fan out across supervised
-    worker processes, one independent fit per k; each in-process fit then
-    runs its restarts serially (nesting pools would oversubscribe).  The
-    sweep is deterministic and identical for any worker count and any
-    recoverable fault schedule; a candidate k quarantined after
-    exhausting its retries raises — a model-selection curve with silent
-    holes would bias the chosen k.
-
-    Args:
-        supervisor: retry/deadline policy for the supervised pool; forces
-            the supervised path even at ``workers=1``.
-        worker_faults: compute-fault plan injected into sweep workers
-            (chaos testing); forces the supervised path even at
-            ``workers=1``.
-
-    Raises:
-        ClusteringError: if ``workers`` is not a positive integer, or a
-            candidate k was quarantined by the supervisor.
+    Each k is one :func:`cluster_users` fit under ``config``'s restarts,
+    iteration cap, tolerance and seed (its ``k`` is ignored).
     """
     base = config or UserClusteringConfig()
-    if workers < 1:
-        raise ClusteringError(f"workers must be >= 1, got {workers}")
-    supervised = supervisor is not None or worker_faults is not None
-    if workers == 1 and not supervised:
-        evaluations = [_evaluate_one_k(attention, k, base) for k in ks]
-    else:
-        outcomes, health = run_supervised(
-            _sweep_point_task,
-            [(attention, k, base) for k in ks],
-            workers=min(workers, max(len(ks), 1)),
-            policy=supervisor,
-            fault_plan=worker_faults,
-            labels=[f"k={k}" for k in ks],
-        )
-        if health.degraded:
-            lost = ", ".join(letter.label for letter in health.dead_letters)
-            raise ClusteringError(
-                "k-sweep candidates were quarantined after exhausting "
-                f"retries ({lost}); refusing to select k from a curve "
-                "with holes"
-            )
-        evaluations = [outcome for outcome in outcomes if outcome is not None]
-    inertias, silhouettes, avg_sizes = (
-        zip(*evaluations) if evaluations else ((), (), ())
-    )
+    inertias: list[float] = []
+    silhouettes: list[float] = []
+    avg_sizes: list[float] = []
+    for k in ks:
+        clustering = cluster_users(attention, replace(base, k=k))
+        inertias.append(clustering.result.inertia)
+        silhouettes.append(clustering.silhouette)
+        avg_sizes.append(clustering.avg_cluster_size)
     return KSelectionSweep(
         ks=tuple(ks),
         inertias=tuple(inertias),
         silhouettes=tuple(silhouettes),
         avg_sizes=tuple(avg_sizes),
-    )
-
-
-def _sweep_point_task(
-    payload: tuple[AttentionMatrix, int, UserClusteringConfig],
-) -> tuple[float, float, float]:
-    """Worker entry point: unpack one supervised-pool sweep point."""
-    attention, k, base = payload
-    return _evaluate_one_k(attention, k, base)
-
-
-def _evaluate_one_k(
-    attention: AttentionMatrix, k: int, base: UserClusteringConfig
-) -> tuple[float, float, float]:
-    """One sweep point: (inertia, silhouette, avg size) for one k.
-
-    Module-level so sweep workers can unpickle it.  Restarts stay serial
-    inside a sweep worker — the sweep itself is the fan-out axis.
-    """
-    clustering = cluster_users(
-        attention,
-        UserClusteringConfig(
-            k=k,
-            n_init=base.n_init,
-            max_iter=base.max_iter,
-            tol=base.tol,
-            seed=base.seed,
-            silhouette_memory_mb=base.silhouette_memory_mb,
-        ),
-    )
-    return (
-        clustering.result.inertia,
-        clustering.silhouette,
-        clustering.avg_cluster_size,
     )

@@ -45,6 +45,7 @@ from repro.config import (
     UserClusteringConfig,
 )
 from repro.core.attention import AttentionMatrix
+from repro.core.user_clusters import check_user_k
 from repro.dataset.corpus import TweetCorpus
 from repro.dataset.io import (
     read_jsonl,
@@ -52,7 +53,7 @@ from repro.dataset.io import (
     write_jsonl,
     write_tweets_jsonl,
 )
-from repro.errors import PipelineError
+from repro.errors import ClusteringError, ConfigError, PipelineError
 from repro.faults.compute import WorkerFaultPlan
 from repro.obs import NULL_TELEMETRY, Telemetry, activate
 from repro.obs.export import TRACE_FILENAME, write_trace
@@ -60,7 +61,9 @@ from repro.pipeline.runner import CollectionPipeline, PipelineReport
 from repro.storage.atomic import atomic_write_text
 from repro.storage.fs import LOCAL_FS, FileSystem
 from repro.storage.manifest import build_manifest, write_text_with_manifest
-from repro.supervise import SupervisorPolicy
+from repro.supervise import SupervisorPolicy, check_workers
+from repro.synth.scenarios import check_scale, paper2016_scenario
+from repro.synth.world import SyntheticWorld
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,6 +80,11 @@ class RunParams:
         chaos_seed: transport fault-plan seed.
         worker_chaos: inject compute faults into the supervised pool.
         worker_chaos_seed: compute fault-plan seed.
+
+    Raises:
+        ConfigError: for a ``scale``, ``workers``, ``k`` or ``alpha`` its
+            stage would reject, so a bad run fails before it creates
+            anything.
     """
 
     scale: float = 0.01
@@ -88,6 +96,16 @@ class RunParams:
     chaos_seed: int = 0
     worker_chaos: bool = False
     worker_chaos_seed: int = 0
+
+    def __post_init__(self) -> None:
+        # The same checks the stages apply, run up front.
+        check_scale(self.scale)
+        check_workers(self.workers)
+        try:
+            check_user_k(self.k)
+        except ClusteringError as exc:
+            raise ConfigError(str(exc)) from None
+        RelativeRiskConfig(alpha=self.alpha)
 
     def to_dict(self) -> dict[str, object]:
         return {spec.name: getattr(self, spec.name) for spec in fields(self)}
@@ -359,9 +377,6 @@ class _StageRunner:
         getattr(self, f"_stage_{stage}")()
 
     def _stage_firehose(self) -> None:
-        from repro.synth.scenarios import paper2016_scenario
-        from repro.synth.world import SyntheticWorld
-
         world = SyntheticWorld(
             paper2016_scenario(scale=self.params.scale, seed=self.params.seed)
         )

@@ -43,14 +43,13 @@ from collections.abc import Iterable
 from repro import obs
 from repro.config import CollectionConfig
 from repro.dataset.records import CollectedTweet
-from repro.errors import ConfigError
 from repro.faults.compute import WorkerFaultPlan
 from repro.geo.geocoder import Geocoder
 from repro.nlp.matcher import OrganMatcher
 from repro.pipeline.batch import Funnel
 from repro.pipeline.runner import PipelineReport
 from repro.pipeline.wire import decode_shard_result, encode_shard_result
-from repro.supervise import SupervisorPolicy, run_supervised
+from repro.supervise import SupervisorPolicy, check_workers, run_supervised
 from repro.twitter.models import Tweet
 
 #: One shard is a list of (original stream position, tweet).
@@ -67,8 +66,7 @@ def shard_by_id(source: Iterable[Tweet], workers: int) -> list[Shard]:
     Raises:
         ConfigError: if ``workers`` is not a positive integer.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
     shards: list[Shard] = [[] for __ in range(workers)]
     for position, tweet in enumerate(source):
         shards[tweet.tweet_id % workers].append((position, tweet))

@@ -20,14 +20,14 @@ from repro import obs
 from repro.config import CollectionConfig, ResiliencePolicy
 from repro.dataset.corpus import TweetCorpus
 from repro.dataset.records import CollectedTweet
-from repro.errors import ConfigError, PipelineError
+from repro.errors import PipelineError
 from repro.geo.geocoder import Geocoder
 from repro.nlp.matcher import OrganMatcher
 from repro.pipeline.batch import Funnel
 from repro.twitter.faults import FaultPlan, FaultySource
 from repro.twitter.models import Tweet
 from repro.faults.compute import WorkerFaultPlan
-from repro.supervise import RunHealth, SupervisorPolicy
+from repro.supervise import RunHealth, SupervisorPolicy, check_workers
 from repro.twitter.resilient import (
     ReliabilityReport,
     ResilientStream,
@@ -252,8 +252,7 @@ class CollectionPipeline:
                 is not absorbable by ``supervisor``, or ``workers`` is
                 not a positive integer.
         """
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
+        check_workers(workers)
         telemetry = obs.current()
         resilient: ResilientStream | None = None
         if fault_plan is not None:

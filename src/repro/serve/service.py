@@ -316,9 +316,7 @@ class ArtifactStore:
             ),
             lambda: cluster_users(
                 build_attention_matrix(corpus),
-                UserClusteringConfig(
-                    k=policy.cluster_k, n_init=_CLUSTER_N_INIT, workers=1
-                ),
+                UserClusteringConfig(k=policy.cluster_k, n_init=_CLUSTER_N_INIT),
             ),
         )
 

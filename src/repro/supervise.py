@@ -1,9 +1,10 @@
 """Supervised process pool: worker death is a scheduled event, not an error.
 
-The plain executor behind the first parallel layer had no fault story:
-one worker segfault aborted the whole sharded collect, K-Means restart
-fan-out, or k-sweep, and a hung worker stalled it forever.  This module
-replaces it with a MapReduce-style supervisor:
+The process fan-out behind the sharded collect
+(:mod:`repro.pipeline.parallel`, its one caller).  A plain executor has
+no fault story: one worker segfault aborts the whole collect and a hung
+worker stalls it forever.  This module is a MapReduce-style supervisor
+instead:
 
 * **One process per task attempt.**  Each task runs in its own child
   with a private result pipe, so a dying worker can corrupt nothing
@@ -25,8 +26,15 @@ replaces it with a MapReduce-style supervisor:
   :class:`RunHealth` — never hanging and never silently dropping work.
 
 Results come back position-ordered (``results[i]`` belongs to
-``tasks[i]``; ``None`` marks a quarantined task), so every caller's
+``tasks[i]``; ``None`` marks a quarantined task), so the caller's
 ordered merge is preserved regardless of completion order.
+
+Workers start under :func:`pool_context` — ``fork`` where available
+(Linux), so a worker inherits the parent's imports and its task
+argument and nothing is re-imported or pickled on the way in; the
+platform default elsewhere, where task arguments are pickled.  Every
+child runs under :func:`reaped`, so a parent that dies mid-run (a test
+failure, a ``KeyboardInterrupt``) never strands a live worker.
 
 Clock reads are confined to liveness detection (deadlines and poll
 pacing) and go through the observability clock seam
@@ -40,12 +48,15 @@ run cannot change it.
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.process
 import os
 import pickle
 import time
 import traceback
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from multiprocessing.connection import Connection, wait as connection_wait
 from typing import Any, TypeVar
@@ -55,7 +66,6 @@ from repro.faults.compute import InjectedComputeError, WorkerFault, WorkerFaultP
 from repro.health import rows_to_lines
 from repro.obs import current as telemetry_current
 from repro.obs.clock import MONOTONIC
-from repro.procpool import pool_context, reaped
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -101,6 +111,12 @@ class SupervisorPolicy:
                 "heartbeat_interval must be > 0, got "
                 f"{self.heartbeat_interval}"
             )
+
+
+def check_workers(workers: int) -> None:
+    """Raise :class:`ConfigError` unless ``workers`` is a positive count."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
 
 
 def ensure_supervisable(
@@ -279,19 +295,40 @@ class RunHealth:
         ]
         return health
 
-    def merge(self, other: "RunHealth") -> "RunHealth":
-        """Combine two health reports (counters sum, dead letters chain)."""
-        merged = RunHealth()
-        for spec in fields(RunHealth):
-            if spec.name == "dead_letters":
-                continue
-            setattr(
-                merged,
-                spec.name,
-                getattr(self, spec.name) + getattr(other, spec.name),
-            )
-        merged.dead_letters = list(self.dead_letters) + list(other.dead_letters)
-        return merged
+
+def pool_context() -> multiprocessing.context.BaseContext:
+    """The multiprocessing context workers start under.
+
+    ``fork`` when the platform offers it, else the platform default.
+    """
+    available = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context(
+        "fork" if "fork" in available else available[0]
+    )
+
+
+@contextmanager
+def reaped() -> Iterator[list[multiprocessing.process.BaseProcess]]:
+    """Guarantee no spawned child outlives the block.
+
+    Yields a registry list; append every child process to it right after
+    ``start()``.  On exit — normal or exceptional — any registered child
+    still alive is terminated (SIGTERM), escalated to ``kill()`` if it
+    ignores that, and joined, so an interrupted run never strands live
+    workers.
+    """
+    registry: list[multiprocessing.process.BaseProcess] = []
+    try:
+        yield registry
+    finally:
+        for proc in registry:
+            if proc.is_alive():
+                proc.terminate()
+        for proc in registry:
+            proc.join(timeout=5.0)
+            if proc.is_alive():  # pragma: no cover - SIGTERM ignored
+                proc.kill()
+                proc.join(timeout=5.0)
 
 
 def _worker_main(
@@ -383,8 +420,7 @@ def run_supervised(
         ConfigError: on invalid arguments or an unabsorbable fault plan.
     """
     policy = policy or SupervisorPolicy()
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
     if fault_plan is not None:
         ensure_supervisable(policy, fault_plan)
     task_list = list(tasks)

@@ -9,6 +9,9 @@ scales of the *same* distribution.
 
 from __future__ import annotations
 
+import math
+
+from repro.errors import ConfigError
 from repro.organs import Organ
 from repro.synth.config import (
     ActivityConfig,
@@ -71,15 +74,23 @@ PAPER_STATE_BOOSTS: dict[str, dict[int, float]] = {
 }
 
 
+def check_scale(scale: float) -> None:
+    """Raise :class:`ConfigError` unless ``scale`` is positive and finite."""
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ConfigError(f"scale must be > 0 and finite, got {scale}")
+
+
 def paper2016_scenario(scale: float = 0.01, seed: int = 0) -> SynthConfig:
     """The calibrated reproduction scenario.
 
     Args:
         scale: dataset size relative to the paper (1.0 ≈ Table I volumes).
         seed: world RNG seed.
+
+    Raises:
+        ConfigError: if ``scale`` is not positive and finite.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
+    check_scale(scale)
     n_users = max(50, int(round(_FULL_SCALE_USERS * scale)))
     return SynthConfig(
         population=PopulationConfig(

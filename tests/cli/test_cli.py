@@ -140,6 +140,27 @@ class TestRun:
         assert code == 1
         assert "no journal" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--k", "3", "k must be >= 6"),
+            ("--alpha", "1.5", "alpha must be in (0, 1)"),
+            ("--workers", "0", "workers must be >= 1"),
+            ("--scale", "0", "scale must be > 0"),
+        ],
+    )
+    def test_bad_parameter_fails_before_anything_runs(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        run_dir = tmp_path / "run"
+        argv = ["run", str(run_dir), "--scale", "0.01", "--seed", "1"]
+        assert main(argv + [flag, value]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: ")
+        assert message in out
+        assert "stage" not in out
+        assert not run_dir.exists()
+
 
 class TestAnalyze:
     def test_single_artifact(self, corpus_file, capsys):

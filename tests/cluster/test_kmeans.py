@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.kmeans import KMeans
+from repro.cluster.kmeans import KMeans, KMeansResult
 from repro.errors import ClusteringError
 
 
@@ -74,21 +74,51 @@ class TestDeterminismAndRestarts:
         many = KMeans(k=8, n_init=10, seed=3).fit(points)
         assert many.inertia <= one.inertia + 1e-9
 
-    def test_parallel_restarts_match_serial(self):
-        """The winning fit is identical for any worker count."""
-        rng = np.random.default_rng(11)
-        points = rng.random((120, 4))
-        serial = KMeans(k=6, n_init=8, seed=3, workers=1).fit(points)
-        for workers in (2, 4):
-            parallel = KMeans(k=6, n_init=8, seed=3, workers=workers).fit(points)
-            assert np.array_equal(serial.labels, parallel.labels)
-            np.testing.assert_array_equal(serial.centers, parallel.centers)
-            assert serial.inertia == parallel.inertia
-            assert serial.n_iter == parallel.n_iter
 
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ClusteringError):
-            KMeans(k=2, workers=0)
+def restart_oracle(
+    model: KMeans, points: np.ndarray
+) -> tuple[KMeansResult, list[KMeansResult]]:
+    """(winner, every restart): restart i runs ``_fit_once`` on the i-th
+    stream spawned from the model seed; the first of the lowest
+    inertias wins."""
+    streams = np.random.SeedSequence(model.seed).spawn(model.n_init)
+    fits = [
+        model._fit_once(points, np.random.default_rng(stream))
+        for stream in streams
+    ]
+    lowest = min(fit.inertia for fit in fits)
+    return next(fit for fit in fits if fit.inertia == lowest), fits
+
+
+def assert_same_fit(actual: KMeansResult, expected: KMeansResult) -> None:
+    np.testing.assert_array_equal(actual.labels, expected.labels)
+    np.testing.assert_array_equal(actual.centers, expected.centers)
+    assert actual.inertia == expected.inertia
+    assert actual.n_iter == expected.n_iter
+    assert actual.converged == expected.converged
+
+
+class TestRestartOracle:
+    """``fit`` is exactly the restart oracle: same labels, centers,
+    inertia and iteration count."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k, n_init", [(1, 1), (3, 2), (5, 8), (9, 6)])
+    def test_fit_matches_oracle_on_random_inputs(self, seed, k, n_init):
+        points = np.random.default_rng(100 + seed).random((80, 3))
+        model = KMeans(k=k, n_init=n_init, seed=seed)
+        expected, __ = restart_oracle(model, points)
+        assert_same_fit(model.fit(points), expected)
+
+    def test_inertia_tie_keeps_the_first_restart(self):
+        """Four unit-square corners at k=2: several restarts tie on the
+        lowest inertia with different labelings, and the earliest wins."""
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        model = KMeans(k=2, n_init=5, seed=0)
+        expected, fits = restart_oracle(model, square)
+        tied = [fit for fit in fits if fit.inertia == expected.inertia]
+        assert len({tuple(fit.labels.tolist()) for fit in tied}) >= 2
+        assert_same_fit(model.fit(square), expected)
 
 
 class TestEmptyClusterReseeding:

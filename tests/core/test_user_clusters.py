@@ -93,14 +93,3 @@ class TestSweepK:
     def test_best_k_by_silhouette(self, attention):
         sweep = sweep_k(attention, ks=(6, 12))
         assert sweep.best_k_by_silhouette() in (6, 12)
-
-    def test_parallel_sweep_matches_serial(self, attention):
-        ks = (6, 8, 10)
-        config = UserClusteringConfig(n_init=2, seed=4)
-        serial = sweep_k(attention, ks=ks, config=config, workers=1)
-        parallel = sweep_k(attention, ks=ks, config=config, workers=2)
-        assert serial == parallel
-
-    def test_invalid_workers_rejected(self, attention):
-        with pytest.raises(ClusteringError):
-            sweep_k(attention, ks=(6,), workers=0)

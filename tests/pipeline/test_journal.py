@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.errors import PipelineError
+from repro.errors import ConfigError, PipelineError
 from repro.pipeline.journal import (
     STAGE_ARTIFACTS,
     STAGES,
@@ -44,6 +44,18 @@ class TestRunParams:
     def test_round_trips_through_dict(self):
         params = RunParams(scale=0.5, seed=3, chaos=True, worker_chaos=True)
         assert RunParams.from_dict(params.to_dict()) == params
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"scale": 0.0}, {"scale": -1.0}, {"scale": float("nan")},
+            {"scale": float("inf")}, {"workers": 0}, {"k": 5},
+            {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": float("nan")},
+        ],
+    )
+    def test_out_of_bounds_parameters_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            RunParams(**kwargs)
 
 
 class TestFreshRun:

@@ -11,12 +11,13 @@ from repro.faults.compute import (
     WorkerFault,
     WorkerFaultPlan,
 )
-from repro.procpool import pool_context, reaped
 from repro.supervise import (
     ComputeDeadLetter,
     RunHealth,
     SupervisorPolicy,
     ensure_supervisable,
+    pool_context,
+    reaped,
     run_supervised,
 )
 
@@ -240,12 +241,6 @@ class TestRunHealth:
         lines = self.make_health().summary_lines()
         assert any("shard 2" in line for line in lines)
 
-    def test_merge_sums_counters_and_chains_dead_letters(self):
-        merged = self.make_health().merge(self.make_health())
-        assert merged.tasks == 8
-        assert merged.quarantined == 2
-        assert len(merged.dead_letters) == 2
-
     def test_satisfies_health_protocol(self):
         from repro.health import HealthReport
 
@@ -315,8 +310,7 @@ class TestReaped:
         assert multiprocessing.active_children() == []
 
     def test_failed_supervised_run_leaves_no_children(self):
-        """A raised quarantine (KMeans-style) must not strand workers."""
-        from repro.errors import ClusteringError
+        """A caller that raises on a quarantine must not strand workers."""
 
         def run_and_raise():
             __, health = run_supervised(
@@ -325,9 +319,9 @@ class TestReaped:
                 fault_plan=WorkerFaultPlan(seed=1, poison_tasks=(1,)),
             )
             if health.degraded:
-                raise ClusteringError("quarantined")
+                raise RuntimeError("quarantined")
 
-        with pytest.raises(ClusteringError):
+        with pytest.raises(RuntimeError, match="quarantined"):
             run_and_raise()
         assert multiprocessing.active_children() == []
 

@@ -1,25 +1,18 @@
-"""Compute-chaos equivalence properties.
+"""Compute-chaos equivalence properties of the sharded collect.
 
 The supervised pool's headline guarantee, one layer below the transport:
-for every fan-out site — the sharded pipeline, K-Means restarts, and the
-k-sweep — the output under injected *worker* faults (crashes, hangs,
-exception storms, slow tasks) is byte-identical to the serial,
-fault-free run, for any worker count and any seed; so is the fault-free
-supervised run at one worker.  Poison tasks never
-produce silent gaps: the pipeline degrades explicitly via ``RunHealth``
-and the clustering sites refuse to fit at all.
+the sharded collect — the pool's one caller — writes a corpus
+byte-identical to the serial, fault-free run under injected *worker*
+faults (crashes, hangs, exception storms, slow tasks), for any worker
+count and any seed; so does the fault-free supervised run at one
+worker.  A poison shard never produces a silent gap: the run degrades
+explicitly via ``RunHealth``, which names the lost shard.
 """
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.cluster.kmeans import KMeans
-from repro.config import UserClusteringConfig
-from repro.core.attention import AttentionMatrix
-from repro.core.user_clusters import sweep_k
-from repro.errors import ClusteringError
 from repro.faults.compute import WorkerFaultPlan
 from repro.pipeline.runner import CollectionPipeline
 from repro.supervise import SupervisorPolicy
@@ -43,18 +36,6 @@ def corpus_bytes(corpus) -> bytes:
         json.dumps(record.to_dict(), ensure_ascii=False)
         for record in corpus.records
     ).encode("utf-8")
-
-
-def make_attention(seed: int, users: int = 120) -> AttentionMatrix:
-    rng = np.random.default_rng(seed)
-    counts = rng.integers(1, 20, size=(users, 6)).astype(float)
-    normalized = counts / counts.sum(axis=1, keepdims=True)
-    return AttentionMatrix(
-        user_ids=tuple(range(users)),
-        states=tuple(["CA"] * users),
-        counts=counts,
-        normalized=normalized,
-    )
 
 
 class TestPipelineUnderWorkerChaos:
@@ -143,67 +124,3 @@ class TestPipelineUnderWorkerChaos:
         )
         # The gap is real (records lost) but never silent.
         assert len(corpus.records) < len(serial_corpus.records)
-
-
-class TestKMeansUnderWorkerChaos:
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_chaos_fit_equals_serial_fit(self, seed, workers):
-        matrix = make_attention(seed).normalized
-        serial = KMeans(k=6, n_init=8, seed=seed).fit(matrix)
-        chaotic = KMeans(
-            k=6, n_init=8, seed=seed, workers=workers,
-            supervisor=CHAOS_POLICY,
-            fault_plan=WorkerFaultPlan.chaos(seed=seed),
-        ).fit(matrix)
-        assert chaotic.inertia == serial.inertia
-        assert np.array_equal(chaotic.labels, serial.labels)
-        assert np.array_equal(chaotic.centers, serial.centers)
-
-    def test_hang_recovery_preserves_the_fit(self):
-        matrix = make_attention(SEEDS[0]).normalized
-        serial = KMeans(k=6, n_init=8, seed=0).fit(matrix)
-        recovered = KMeans(
-            k=6, n_init=8, seed=0, workers=2,
-            supervisor=SupervisorPolicy(max_retries=2, task_timeout=10.0),
-            fault_plan=WorkerFaultPlan(
-                seed=2, hang_rate=0.8, hang_seconds=60.0,
-                max_faulted_attempts=1,
-            ),
-        ).fit(matrix)
-        assert recovered.inertia == serial.inertia
-
-    def test_poisoned_restart_chunk_raises_never_degrades(self):
-        matrix = make_attention(SEEDS[0]).normalized
-        with pytest.raises(ClusteringError, match="quarantined"):
-            KMeans(
-                k=6, n_init=8, seed=0, workers=2,
-                supervisor=SupervisorPolicy(max_retries=1),
-                fault_plan=WorkerFaultPlan(seed=2, poison_tasks=(0,)),
-            ).fit(matrix)
-
-
-class TestSweepUnderWorkerChaos:
-    CONFIG = UserClusteringConfig(n_init=2, max_iter=60)
-    KS = (6, 7, 8)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_chaos_sweep_equals_serial_sweep(self, seed, workers):
-        attention = make_attention(seed)
-        serial = sweep_k(attention, self.KS, self.CONFIG)
-        chaotic = sweep_k(
-            attention, self.KS, self.CONFIG, workers=workers,
-            supervisor=CHAOS_POLICY,
-            worker_faults=WorkerFaultPlan.chaos(seed=seed),
-        )
-        assert chaotic == serial
-
-    def test_poisoned_candidate_raises_never_leaves_a_hole(self):
-        attention = make_attention(SEEDS[0])
-        with pytest.raises(ClusteringError, match="k=7"):
-            sweep_k(
-                attention, self.KS, self.CONFIG, workers=2,
-                supervisor=SupervisorPolicy(max_retries=1),
-                worker_faults=WorkerFaultPlan(seed=2, poison_tasks=(1,)),
-            )
