@@ -2,7 +2,9 @@
 
 Each command returns a process exit code (0 on success).  Commands print
 human-readable progress to stdout; file outputs are JSONL (firehose,
-corpus) or plain text (artifacts).
+corpus) or plain text (artifacts).  A ``ReproError`` or ``OSError`` a
+command does not handle itself reaches :func:`repro.cli.main.main`,
+which prints it as one ``error:`` line and exits 1.
 """
 
 from __future__ import annotations
@@ -82,24 +84,20 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
     tracing = getattr(args, "trace", False)
     telemetry = Telemetry() if tracing else NULL_TELEMETRY
-    try:
-        with activate(telemetry):
-            corpus, report = pipeline.run(
-                read_tweets_jsonl(args.firehose),
-                fault_plan=fault_plan,
-                workers=workers,
-                supervisor=supervisor,
-                worker_faults=worker_faults,
-            )
-            count = write_jsonl(corpus.records, args.output, fs=fs)
-    except (ReproError, OSError) as exc:
-        print(f"error: {exc}")
-        return 1
+    with activate(telemetry):
+        corpus, report = pipeline.run(
+            read_tweets_jsonl(args.firehose),
+            fault_plan=fault_plan,
+            workers=workers,
+            supervisor=supervisor,
+            worker_faults=worker_faults,
+        )
+        count = write_jsonl(corpus.records, args.output, fs=fs)
     for label, value in report.as_rows():
         print(f"{label}: {value}")
     if fs is not None:
-        for line in fs.injected.summary_lines():
-            print(line)
+        for label, value in fs.injected.as_rows():
+            print(f"{label}: {value}")
     print(f"wrote {count:,} records to {args.output}")
     if tracing:
         from repro.obs.export import write_trace
@@ -136,8 +134,8 @@ def cmd_scrub(args: argparse.Namespace) -> int:
     for result in report.results:
         detail = f" ({result.detail})" if result.detail else ""
         print(f"{result.path}: {result.status}{detail}")
-    for line in report.summary_lines():
-        print(line)
+    for label, value in report.as_rows():
+        print(f"{label}: {value}")
     # Exit 0 only when no data was lost: clean, repaired, or a rebuilt
     # stale sidecar.  Quarantined records are preserved evidence, but
     # the corpus did lose them — operators must see that.
@@ -149,28 +147,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     """Execute (or resume) a journaled end-to-end analysis run."""
     from repro.pipeline.journal import RunParams, run_stages
 
-    try:
-        params = RunParams(
-            scale=args.scale,
-            seed=args.seed,
-            workers=args.workers,
-            k=args.k,
-            alpha=args.alpha,
-            chaos=args.chaos,
-            chaos_seed=args.chaos_seed,
-            worker_chaos=args.worker_chaos,
-            worker_chaos_seed=args.worker_chaos_seed,
-        )
-        summary = run_stages(
-            Path(args.run_dir),
-            params,
-            resume=args.resume,
-            trace=getattr(args, "trace", False),
-            log=print,
-        )
-    except (ReproError, OSError) as exc:
-        print(f"error: {exc}")
-        return 1
+    params = RunParams(
+        scale=args.scale,
+        seed=args.seed,
+        workers=args.workers,
+        k=args.k,
+        alpha=args.alpha,
+        chaos=args.chaos,
+        chaos_seed=args.chaos_seed,
+        worker_chaos=args.worker_chaos,
+        worker_chaos_seed=args.worker_chaos_seed,
+    )
+    summary = run_stages(
+        Path(args.run_dir),
+        params,
+        resume=args.resume,
+        trace=getattr(args, "trace", False),
+        log=print,
+    )
     print(
         f"run complete: {len(summary.stages_run)} stages run, "
         f"{len(summary.stages_skipped)} skipped, artifacts in "
@@ -178,8 +172,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     for health in (summary.report.reliability, summary.report.compute):
         if health is not None:
-            for line in health.summary_lines():
-                print(line)
+            for label, value in health.as_rows():
+                print(f"{label}: {value}")
     if getattr(args, "trace", False):
         print(
             f"telemetry in {summary.run_dir}/trace.jsonl "
@@ -260,15 +254,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     tracing = getattr(args, "trace", False)
     telemetry = Telemetry() if tracing else NULL_TELEMETRY
-    try:
-        requests, malformed = read_requests_jsonl(requests_path)
-        with activate(telemetry):
-            service = QueryService(run_dir, plan=plan)
-            result = service.serve(requests, malformed)
-        count = write_responses_jsonl(result.responses, output)
-    except (ReproError, OSError) as exc:
-        print(f"error: {exc}")
-        return 1
+    requests, malformed = read_requests_jsonl(requests_path)
+    with activate(telemetry):
+        service = QueryService(run_dir, plan=plan)
+        result = service.serve(requests, malformed)
+    count = write_responses_jsonl(result.responses, output)
     for label, value in result.report.as_rows():
         print(f"{label}: {value}")
     print(f"wrote {count:,} responses to {output}")
@@ -295,11 +285,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: unknown artifacts {unknown}; "
               f"choose from {', '.join(_ARTIFACTS)}")
         return 2
-    try:
-        corpus = TweetCorpus(read_jsonl(args.corpus))
-    except (ReproError, OSError) as exc:
-        print(f"error: {exc}")
-        return 1
+    corpus = TweetCorpus(read_jsonl(args.corpus))
     suite = ExperimentSuite(
         corpus,
         config=AnalysisConfig(
@@ -319,31 +305,26 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        for name in wanted:
-            text = runners[name]()
-            print(f"\n===== {name} =====")
-            print(text)
-            if out_dir is not None:
-                from repro.storage.atomic import atomic_write_text
-
-                atomic_write_text(out_dir / f"{name}.txt", text + "\n")
+    for name in wanted:
+        text = runners[name]()
+        print(f"\n===== {name} =====")
+        print(text)
         if out_dir is not None:
-            print(f"\nwrote {len(wanted)} artifacts to {out_dir}/")
-        if args.csv is not None:
-            from repro.report.export import export_all_csv
+            from repro.storage.atomic import atomic_write_text
 
-            paths = export_all_csv(suite, args.csv)
-            print(f"wrote {len(paths)} CSV files to {args.csv}/")
-        if args.svg is not None:
-            from repro.viz.artifacts import export_all_svg
+            atomic_write_text(out_dir / f"{name}.txt", text + "\n")
+    if out_dir is not None:
+        print(f"\nwrote {len(wanted)} artifacts to {out_dir}/")
+    if args.csv is not None:
+        from repro.report.export import export_all_csv
 
-            paths = export_all_svg(suite, args.svg)
-            print(f"wrote {len(paths)} SVG figures to {args.svg}/")
-    except ReproError as exc:
-        # e.g. k exceeding the user count on a degenerate corpus.
-        print(f"error: {exc}")
-        return 1
+        paths = export_all_csv(suite, args.csv)
+        print(f"wrote {len(paths)} CSV files to {args.csv}/")
+    if args.svg is not None:
+        from repro.viz.artifacts import export_all_svg
+
+        paths = export_all_svg(suite, args.svg)
+        print(f"wrote {len(paths)} SVG figures to {args.svg}/")
     return 0
 
 
@@ -353,25 +334,21 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         window=timedelta(days=args.window_days),
         relative_risk=RelativeRiskConfig(min_users=args.min_users),
     )
-    try:
-        stream = read_tweets_jsonl(args.firehose)
-        for snapshot in sensor.run(stream, emit_every=args.emit_every):
-            spiking = ", ".join(
-                f"{state}:{'+'.join(o.value for o in snapshot.highlights[state])}"
-                for state in snapshot.emerging_states()
-            ) or "-"
-            organs = " ".join(
-                f"{organ.value[:4]}={snapshot.users_by_organ[organ]}"
-                for organ in Organ
-            )
-            print(
-                f"{snapshot.window_end:%Y-%m-%d} "
-                f"tweets={snapshot.n_tweets} users={snapshot.n_users} "
-                f"{organs} spiking=[{spiking}]"
-            )
-    except (ReproError, OSError) as exc:
-        print(f"error: {exc}")
-        return 1
+    stream = read_tweets_jsonl(args.firehose)
+    for snapshot in sensor.run(stream, emit_every=args.emit_every):
+        spiking = ", ".join(
+            f"{state}:{'+'.join(o.value for o in snapshot.highlights[state])}"
+            for state in snapshot.emerging_states()
+        ) or "-"
+        organs = " ".join(
+            f"{organ.value[:4]}={snapshot.users_by_organ[organ]}"
+            for organ in Organ
+        )
+        print(
+            f"{snapshot.window_end:%Y-%m-%d} "
+            f"tweets={snapshot.n_tweets} users={snapshot.n_users} "
+            f"{organs} spiking=[{spiking}]"
+        )
     print(f"done: {sensor.seen:,} seen, {sensor.retained:,} retained")
     return 0
 

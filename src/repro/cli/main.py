@@ -7,6 +7,7 @@ import sys
 from collections.abc import Sequence
 
 from repro.cli import commands
+from repro.errors import ReproError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,10 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run the CLI; returns the process exit code."""
+    """Run the CLI; returns the process exit code.
+
+    A :class:`~repro.errors.ReproError` or :class:`OSError` that a
+    command does not handle itself becomes one ``error:`` line and exit
+    code 1.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return int(args.func(args))
+    try:
+        return int(args.func(args))
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}")
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -36,7 +36,6 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.health import rows_to_lines
 
 _RATE_FIELDS = ("eio_rate", "fsync_lie_rate")
 
@@ -77,10 +76,6 @@ class InjectedStorageFaults:
             ("fsync lies injected", str(self.fsync_lies)),
             ("crashes injected", str(self.crashes)),
         ]
-
-    def summary_lines(self) -> list[str]:
-        return rows_to_lines(self.as_rows())
-
 
 @dataclass(frozen=True, slots=True)
 class StorageFaultPlan:

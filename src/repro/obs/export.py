@@ -198,7 +198,7 @@ class TraceSummary:
     event_count: int = 0
 
     def as_rows(self) -> list[tuple[str, str]]:
-        """(label, value) pairs for table rendering (HealthReport shape)."""
+        """(label, value) pairs for table rendering."""
         rows: list[tuple[str, str]] = []
         for name, worker, duration in self.stages:
             rows.append((f"{name} [{worker}]", f"{duration:.6f}s"))

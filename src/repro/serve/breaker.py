@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Any
 
 from repro.errors import ConfigError, ReproError
 
@@ -99,23 +98,6 @@ class BreakerTransition:
     from_state: str
     to_state: str
     reason: str
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "at": self.at,
-            "from_state": self.from_state,
-            "to_state": self.to_state,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "BreakerTransition":
-        return cls(
-            at=float(data["at"]),
-            from_state=str(data["from_state"]),
-            to_state=str(data["to_state"]),
-            reason=str(data["reason"]),
-        )
 
 
 class CircuitBreaker:

@@ -1,12 +1,13 @@
 """Overload accounting: the serving layer's health report.
 
-Third implementor of the :class:`repro.health.HealthReport` protocol,
-after the transport layer's ``ReliabilityReport`` and the compute pool's
-``RunHealth``.  Where those count faults survived, this one proves the
-**no-silent-loss invariant**: every request submitted to the service is
-accounted for exactly once as completed, rejected, deadline-expired, or
-dead-lettered — :meth:`OverloadReport.accounted` is the machine-checkable
-form, asserted by the property suite for every chaos seed.
+Like the transport layer's ``ReliabilityReport`` and the compute pool's
+``RunHealth``, it renders as ``(label, value)`` rows (``as_rows``) under
+the command's output.  Where those count faults survived, this one
+proves the **no-silent-loss invariant**: every request submitted to the
+service is accounted for exactly once as completed, rejected,
+deadline-expired, or dead-lettered — :meth:`OverloadReport.accounted` is
+the machine-checkable form, asserted by the property suite for every
+chaos seed.
 
 The report also records *how* the service bent instead of breaking:
 degraded (browned-out) answers, the maximum brownout level reached, and
@@ -16,9 +17,7 @@ every circuit-breaker transition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
-from repro.health import rows_to_lines
 from repro.serve.breaker import BreakerTransition
 
 
@@ -67,7 +66,7 @@ class OverloadReport:
         )
 
     def as_rows(self) -> list[tuple[str, str]]:
-        """(label, value) rows for the shared health-report surface."""
+        """(label, value) rows, printed as ``label: value`` lines."""
         return [
             ("requests submitted", str(self.submitted)),
             ("requests admitted", str(self.admitted)),
@@ -85,48 +84,3 @@ class OverloadReport:
             ("artifact loads", str(self.artifact_loads)),
             ("accounting", "exact" if self.accounted else "BROKEN"),
         ]
-
-    def summary_lines(self) -> list[str]:
-        return rows_to_lines(self.as_rows())
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "shed_queue_full": self.shed_queue_full,
-            "shed_rate_limited": self.shed_rate_limited,
-            "expired": self.expired,
-            "dead_lettered": self.dead_lettered,
-            "degraded": self.degraded,
-            "max_brownout_level": self.max_brownout_level,
-            "breaker_opens": self.breaker_opens,
-            "artifact_loads": self.artifact_loads,
-            "breaker_transitions": [
-                transition.to_dict() for transition in self.breaker_transitions
-            ],
-            "accounted": self.accounted,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "OverloadReport":
-        return cls(
-            submitted=int(data["submitted"]),
-            admitted=int(data["admitted"]),
-            completed=int(data["completed"]),
-            shed=int(data["shed"]),
-            shed_queue_full=int(data["shed_queue_full"]),
-            shed_rate_limited=int(data["shed_rate_limited"]),
-            expired=int(data["expired"]),
-            dead_lettered=int(data["dead_lettered"]),
-            degraded=int(data["degraded"]),
-            max_brownout_level=int(data["max_brownout_level"]),
-            breaker_opens=int(data["breaker_opens"]),
-            # Default for reports serialized before the artifact cache.
-            artifact_loads=int(data.get("artifact_loads", 0)),
-            breaker_transitions=[
-                BreakerTransition.from_dict(item)
-                for item in data.get("breaker_transitions", [])
-            ],
-        )

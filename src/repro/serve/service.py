@@ -16,11 +16,16 @@ request:
    artifact-load failures trip to fail-fast, so a dead dependency costs
    microseconds of budget, not all of it.
 4. **Brownout** (:mod:`repro.serve.degrade`) — sustained queue pressure
-   moves handlers onto precomputed coarse summaries *before* any fresh
+   moves answers onto precomputed coarse summaries *before* any fresh
    computation is shed.
 
+The three analysis kinds share one answer path, driven by one table
+(the artifact each loads, its fresh cost, its fresh and coarse
+payloads): fresh at brownout level 0, coarse at levels 1–2 or when the
+artifact load is refused.  Every payload-free response goes through one refusal builder.
+
 The whole service runs on a simulated clock
-(:class:`repro.obs.clock.ManualClock`): handler stages *advance* the
+(:class:`repro.obs.clock.ManualClock`): answer stages *advance* the
 clock by declared costs instead of sleeping, so a serve run is a
 discrete-event simulation — wall-clock-free, seedable, and
 byte-identical for a fixed ``(seed, request file)`` pair.  The governing
@@ -61,6 +66,10 @@ from repro.storage.jsonl import write_jsonl_lines
 
 #: Query kinds the stock service answers.
 QUERY_KINDS = ("state_signature", "relative_risk", "cluster_profile", "health")
+
+#: k for the serving-side user clustering; ``cluster`` ids outside
+#: ``[0, CLUSTER_K)`` dead-letter at every brownout level.
+CLUSTER_K = 6
 
 #: k-means restarts for the serving-side clustering artifact — enough
 #: for stability on serving-scale corpora without dominating load cost.
@@ -193,7 +202,6 @@ class ServicePolicy:
         cluster_profile_cost: fresh Fig. 7 profile computation.
         artifact_load_cost: one artifact load through the store.
         default_deadline: budget for requests that name none.
-        cluster_k: k for the serving-side user clustering.
         admission / breaker / brownout: the defense sub-policies.
     """
 
@@ -204,7 +212,6 @@ class ServicePolicy:
     cluster_profile_cost: float = 0.10
     artifact_load_cost: float = 0.25
     default_deadline: float = 2.0
-    cluster_k: int = 6
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
     brownout: BrownoutPolicy = field(default_factory=BrownoutPolicy)
@@ -222,8 +229,29 @@ class ServicePolicy:
             value = getattr(self, name)
             if value <= 0.0:
                 raise ConfigError(f"{name} must be > 0, got {value}")
-        if self.cluster_k < 1:
-            raise ConfigError(f"cluster_k must be >= 1, got {self.cluster_k}")
+
+
+def _read_corpus(
+    cache: ArtifactCache, generation: str, run_dir: Path
+) -> TweetCorpus:
+    """The run's corpus, parsed from disk at most once per generation."""
+    path = run_dir / "corpus.jsonl"
+    return cache.get((generation, "corpus"), lambda: TweetCorpus(read_jsonl(path)))
+
+
+def _cluster(corpus: TweetCorpus) -> UserClustering:
+    return cluster_users(
+        build_attention_matrix(corpus),
+        UserClusteringConfig(k=CLUSTER_K, n_init=_CLUSTER_N_INIT),
+    )
+
+
+#: Artifacts derived from the corpus, with their builders.
+_BUILDERS: dict[str, Callable[[TweetCorpus], object]] = {
+    "regions": characterize_regions,
+    "risks": highlighted_organs,
+    "clustering": _cluster,
+}
 
 
 class ArtifactStore:
@@ -242,7 +270,7 @@ class ArtifactStore:
 
     Args:
         run_dir: completed run directory holding ``corpus.jsonl``.
-        policy: service policy (costs, cluster k).
+        policy: service policy (costs).
         plan: load-chaos plan; faults draw per (artifact, load index).
         clock: the service's simulated clock.
         breaker: the breaker guarding this store.
@@ -269,55 +297,19 @@ class ArtifactStore:
         self._run_dir = run_dir
         self._cache: dict[str, object] = {}
         self._load_counts: dict[str, int] = {}
-        # Each loader resolves its *dependencies* through the paid store
-        # path first (so nested load costs, fault draws, and breaker
-        # reports are identical whether the shared cache is cold or
-        # warm), and only the pure builder work is generation-memoized.
-        self._loaders: dict[str, Callable[[], object]] = {
-            "corpus": self._build_corpus,
-            "regions": self._build_regions,
-            "risks": self._build_risks,
-            "clustering": self._build_clustering,
-        }
 
-    def _corpus(self) -> TweetCorpus:
-        return cast(TweetCorpus, self.load("corpus"))
+    def _build(self, name: str) -> object:
+        """The builder work behind one load, memoized per generation.
 
-    def _build_corpus(self) -> object:
-        run_dir = self._run_dir
+        A derived artifact resolves the corpus through the paid store
+        path first, so nested load costs, fault draws and breaker
+        reports are identical whether the shared cache is cold or warm.
+        """
+        if name == "corpus":
+            return _read_corpus(self._shared, self._generation, self._run_dir)
+        corpus = cast(TweetCorpus, self.load("corpus"))
         return self._shared.get(
-            (self._generation, "corpus"),
-            lambda: TweetCorpus(read_jsonl(run_dir / "corpus.jsonl")),
-        )
-
-    def _build_regions(self) -> object:
-        corpus = self._corpus()
-        return self._shared.get(
-            (self._generation, "regions"),
-            lambda: characterize_regions(corpus),
-        )
-
-    def _build_risks(self) -> object:
-        corpus = self._corpus()
-        return self._shared.get(
-            (self._generation, "risks"),
-            lambda: highlighted_organs(corpus),
-        )
-
-    def _build_clustering(self) -> object:
-        corpus = self._corpus()
-        policy = self._policy
-        return self._shared.get(
-            (
-                self._generation,
-                "clustering",
-                policy.cluster_k,
-                _CLUSTER_N_INIT,
-            ),
-            lambda: cluster_users(
-                build_attention_matrix(corpus),
-                UserClusteringConfig(k=policy.cluster_k, n_init=_CLUSTER_N_INIT),
-            ),
+            (self._generation, name), lambda: _BUILDERS[name](corpus)
         )
 
     @property
@@ -334,7 +326,7 @@ class ArtifactStore:
             InjectedQueryError: the load-chaos plan failed this load.
             ConfigError: unknown artifact name.
         """
-        if name not in self._loaders:
+        if name != "corpus" and name not in _BUILDERS:
             raise ConfigError(f"unknown artifact {name!r}")
         if name in self._cache:
             return self._cache[name]
@@ -360,7 +352,7 @@ class ArtifactStore:
                 f"injected load failure for {name!r} (load {index})"
             )
         try:
-            value = self._loaders[name]()
+            value = self._build(name)
         except (BreakerOpenError, InjectedQueryError):
             # A nested load already recorded its own breaker outcome.
             raise
@@ -386,7 +378,91 @@ class ServeResult:
     report: OverloadReport
 
 
-Handler = Callable[[QueryRequest, Deadline, int], tuple[dict[str, object], bool]]
+def _query_key(request: QueryRequest) -> str | int:
+    """The state, or the cluster id, an analysis request asks about.
+
+    Raises:
+        QueryError: on a missing ``state``, or a ``cluster`` that is not
+            an integer in ``[0, CLUSTER_K)`` (an absent one means 0).
+    """
+    if request.kind != "cluster_profile":
+        state = request.param("state")
+        if state is None:
+            raise QueryError(f"{request.kind} requires param 'state'")
+        return state
+    raw = request.param("cluster") or "0"
+    try:
+        cluster = int(raw)
+    except ValueError as exc:
+        raise QueryError(f"cluster must be an integer, got {raw!r}") from exc
+    if not 0 <= cluster < CLUSTER_K:
+        raise QueryError(f"cluster must be in [0, {CLUSTER_K}), got {cluster}")
+    return cluster
+
+
+def _ranked(pairs: list[tuple[Organ, float]]) -> list[list[object]]:
+    return [[organ.value, round(float(weight), 9)] for organ, weight in pairs]
+
+
+def _signature_payload(
+    regions: RegionCharacterization, state: str
+) -> dict[str, object]:
+    if state not in regions.states:
+        return {"state": state, "found": False}
+    return {
+        "state": state,
+        "found": True,
+        "signature": _ranked(regions.signature(state)),
+    }
+
+
+def _risk_payload(
+    risks: dict[str, tuple[Organ, ...]], state: str
+) -> dict[str, object]:
+    highlighted = risks.get(state)
+    if highlighted is None:
+        return {"state": state, "found": False}
+    return {
+        "state": state,
+        "found": True,
+        "highlighted": [organ.value for organ in highlighted],
+    }
+
+
+def _cluster_payload(clustering: UserClustering, cluster: int) -> dict[str, object]:
+    return {
+        "cluster": cluster,
+        "k": clustering.k,
+        "relative_size": round(float(clustering.relative_sizes()[cluster]), 9),
+        "profile": _ranked(clustering.cluster_profile(cluster)),
+    }
+
+
+_Fresh = Callable[[Any, Any], dict[str, object]]
+_Coarse = Callable[[CoarseSummaries, Any, int], dict[str, object]]
+
+#: Analysis kind -> (artifact, fresh-cost field of :class:`ServicePolicy`,
+#: fresh payload over the artifact, coarse payload at a brownout level).
+_VIEWS: dict[str, tuple[str, str, _Fresh, _Coarse]] = {
+    "state_signature": (
+        "regions",
+        "state_signature_cost",
+        _signature_payload,
+        CoarseSummaries.state_signature,
+    ),
+    "relative_risk": (
+        "risks",
+        "relative_risk_cost",
+        _risk_payload,
+        CoarseSummaries.relative_risk,
+    ),
+    "cluster_profile": (
+        "clustering",
+        "cluster_profile_cost",
+        _cluster_payload,
+        lambda coarse, _key, level: coarse.cluster_profile(level),
+    ),
+}
 
 
 class QueryService:
@@ -431,36 +507,16 @@ class QueryService:
         # Both the corpus parse and the summary build go through the
         # generation cache, so a second service on an unchanged run
         # directory starts without touching the corpus file.
-        self.coarse = cast(
-            CoarseSummaries,
-            self.cache.get(
-                (self.generation, "coarse"),
-                lambda: CoarseSummaries.from_corpus(
-                    cast(
-                        TweetCorpus,
-                        self.cache.get(
-                            (self.generation, "corpus"),
-                            lambda: TweetCorpus(
-                                read_jsonl(self.run_dir / "corpus.jsonl")
-                            ),
-                        ),
-                    )
-                ),
+        self.coarse: CoarseSummaries = self.cache.get(
+            (self.generation, "coarse"),
+            lambda: CoarseSummaries.from_corpus(
+                _read_corpus(self.cache, self.generation, self.run_dir)
             ),
         )
         self._ladder = BrownoutLadder(self.policy.brownout)
         self._queue: AdmissionQueue[QueryRequest] = AdmissionQueue(
             self.policy.admission, now=0.0
         )
-        self._handlers: dict[str, Handler] = {}
-        self.register("health", self._handle_health)
-        self.register("state_signature", self._handle_state_signature)
-        self.register("relative_risk", self._handle_relative_risk)
-        self.register("cluster_profile", self._handle_cluster_profile)
-
-    def register(self, kind: str, handler: Handler) -> None:
-        """Install (or replace) the handler for one query kind."""
-        self._handlers[kind] = handler
 
     # -- the event loop -------------------------------------------------
 
@@ -477,21 +533,12 @@ class QueryService:
                 never parsed — dead-lettered at time 0 so they still
                 count against the accounting invariant.
         """
-        telemetry = current()
         report = OverloadReport()
-        responses: list[Response] = []
-
-        for request_id, reason in malformed:
-            report.submitted += 1
-            report.dead_lettered += 1
-            telemetry.inc("serve.dead_lettered", reason="malformed")
-            responses.append(
-                Response(
-                    request_id=request_id,
-                    outcome=Outcome.DEAD_LETTERED,
-                    status=reason,
-                )
-            )
+        report.submitted += len(malformed)
+        responses = [
+            _refuse(report, request_id, Outcome.DEAD_LETTERED, reason, "malformed")
+            for request_id, reason in malformed
+        ]
 
         schedule = self._materialize(requests)
         report.submitted += len(schedule)
@@ -558,17 +605,13 @@ class QueryService:
             report.admitted += 1
             current().inc("serve.admitted", kind=request.kind)
             return
-        report.shed += 1
-        if rejected.reason == "queue_full":
-            report.shed_queue_full += 1
-        else:
-            report.shed_rate_limited += 1
-        current().inc("serve.shed", reason=rejected.reason)
         responses.append(
-            Response(
-                request_id=request.request_id,
-                outcome=Outcome.REJECTED,
-                status=rejected.reason,
+            _refuse(
+                report,
+                request.request_id,
+                Outcome.REJECTED,
+                rejected.reason,
+                rejected.reason,
                 finished_at=request.arrival,
             )
         )
@@ -582,61 +625,37 @@ class QueryService:
             if request.deadline is None
             else request.deadline,
         )
+        request_id = request.request_id
         now = self.clock.now()
         if deadline.expired(now):
-            report.expired += 1
-            current().inc("serve.expired", where="queue")
-            return Response(
-                request_id=request.request_id,
-                outcome=Outcome.EXPIRED,
-                status="expired_in_queue",
-                brownout_level=level,
-                finished_at=now,
+            return _refuse(
+                report, request_id, Outcome.EXPIRED, "expired_in_queue",
+                "queue", level, now,
             )
         if request.poison:
-            report.dead_lettered += 1
-            current().inc("serve.dead_lettered", reason="poison")
-            return Response(
-                request_id=request.request_id,
-                outcome=Outcome.DEAD_LETTERED,
-                status="poison_query",
-                brownout_level=level,
-                finished_at=now,
+            return _refuse(
+                report, request_id, Outcome.DEAD_LETTERED, "poison_query",
+                "poison", level, now,
             )
-        handler = self._handlers.get(request.kind)
-        if handler is None:
-            report.dead_lettered += 1
-            current().inc("serve.dead_lettered", reason="unknown_kind")
-            return Response(
-                request_id=request.request_id,
-                outcome=Outcome.DEAD_LETTERED,
-                status="unknown_kind",
-                brownout_level=level,
-                finished_at=now,
+        if request.kind not in QUERY_KINDS:
+            return _refuse(
+                report, request_id, Outcome.DEAD_LETTERED, "unknown_kind",
+                "unknown_kind", level, now,
             )
         try:
-            payload, degraded = handler(request, deadline, level)
+            payload, degraded = self._answer(request, deadline, level)
         except DeadlineExceeded:
-            report.expired += 1
-            current().inc("serve.expired", where="handler")
-            return Response(
-                request_id=request.request_id,
-                outcome=Outcome.EXPIRED,
-                status="deadline_exceeded",
-                brownout_level=level,
-                finished_at=self.clock.now(),
+            return _refuse(
+                report, request_id, Outcome.EXPIRED, "deadline_exceeded",
+                "handler", level, self.clock.now(),
             )
         except ReproError as exc:
-            # The handler ran out of fallbacks (e.g. the coarse path
-            # itself raised) — a terminal dead letter, never a hang.
-            report.dead_lettered += 1
-            current().inc("serve.dead_lettered", reason="handler_error")
-            return Response(
-                request_id=request.request_id,
-                outcome=Outcome.DEAD_LETTERED,
-                status=f"handler_error:{type(exc).__name__}",
-                brownout_level=level,
-                finished_at=self.clock.now(),
+            # A bad parameter, or an artifact build or coarse answer
+            # that raised — a terminal dead letter, never a hang.
+            return _refuse(
+                report, request_id, Outcome.DEAD_LETTERED,
+                f"handler_error:{type(exc).__name__}", "handler_error",
+                level, self.clock.now(),
             )
         report.completed += 1
         if degraded:
@@ -644,7 +663,7 @@ class QueryService:
             current().inc("serve.degraded", kind=request.kind)
         current().inc("serve.completed", kind=request.kind)
         return Response(
-            request_id=request.request_id,
+            request_id=request_id,
             outcome=Outcome.COMPLETED,
             status="degraded" if degraded else "ok",
             payload=payload,
@@ -652,123 +671,88 @@ class QueryService:
             finished_at=self.clock.now(),
         )
 
-    # -- handlers -------------------------------------------------------
+    # -- answers --------------------------------------------------------
 
     def _spend(self, cost: float, deadline: Deadline) -> None:
         """Advance the clock by one stage's cost, then check the budget."""
         self.clock.advance(cost)
         deadline.check(self.clock.now())
 
-    def _require_param(self, request: QueryRequest, key: str) -> str:
-        value = request.param(key)
-        if value is None:
-            raise QueryError(f"{request.kind} requires param {key!r}")
-        return value
-
-    def _handle_health(
+    def _answer(
         self, request: QueryRequest, deadline: Deadline, level: int
     ) -> tuple[dict[str, object], bool]:
-        self._spend(self.policy.health_cost, deadline)
-        return (
-            {
-                "status": "ok",
-                "queue_depth": self._queue.depth,
-                "brownout_level": level,
-                "breaker_state": self.breaker.state.value,
-            },
-            False,
-        )
+        """One request's payload, and whether it came from the coarse path.
 
-    def _handle_state_signature(
-        self, request: QueryRequest, deadline: Deadline, level: int
-    ) -> tuple[dict[str, object], bool]:
-        state = self._require_param(request, "state")
+        At level 0 an analysis query loads its artifact and pays the
+        fresh cost; at levels 1–2, or when the breaker or the load-chaos
+        plan refuses the load, it pays ``coarse_cost`` and answers from
+        the coarse summaries.
+
+        Raises:
+            QueryError: a bad parameter, at every level.
+            DeadlineExceeded: the budget ran out between stages.
+        """
+        if request.kind == "health":
+            self._spend(self.policy.health_cost, deadline)
+            return (
+                {
+                    "status": "ok",
+                    "queue_depth": self._queue.depth,
+                    "brownout_level": level,
+                    "breaker_state": self.breaker.state.value,
+                },
+                False,
+            )
+        artifact, cost_field, fresh, coarse = _VIEWS[request.kind]
+        key = _query_key(request)
         if level == 0:
             try:
-                regions = cast(
-                    RegionCharacterization, self.store.load("regions")
-                )
-                deadline.check(self.clock.now())
-                self._spend(self.policy.state_signature_cost, deadline)
-                if state not in regions.states:
-                    return {"state": state, "found": False}, False
-                signature = regions.signature(state)
-                return (
-                    {
-                        "state": state,
-                        "found": True,
-                        "signature": [
-                            [organ.value, round(float(weight), 9)]
-                            for organ, weight in signature
-                        ],
-                    },
-                    False,
-                )
+                value = self.store.load(artifact)
             except (BreakerOpenError, InjectedQueryError):
                 pass  # fall back to the coarse answer below
-        self._spend(self.policy.coarse_cost, deadline)
-        return self.coarse.state_signature(state, level), True
-
-    def _handle_relative_risk(
-        self, request: QueryRequest, deadline: Deadline, level: int
-    ) -> tuple[dict[str, object], bool]:
-        state = self._require_param(request, "state")
-        if level == 0:
-            try:
-                risks = cast(
-                    "dict[str, tuple[Organ, ...]]", self.store.load("risks")
-                )
+            else:
                 deadline.check(self.clock.now())
-                self._spend(self.policy.relative_risk_cost, deadline)
-                highlighted = risks.get(state)
-                if highlighted is None:
-                    return {"state": state, "found": False}, False
-                return (
-                    {
-                        "state": state,
-                        "found": True,
-                        "highlighted": [organ.value for organ in highlighted],
-                    },
-                    False,
-                )
-            except (BreakerOpenError, InjectedQueryError):
-                pass
+                self._spend(getattr(self.policy, cost_field), deadline)
+                return fresh(value, key), False
         self._spend(self.policy.coarse_cost, deadline)
-        return self.coarse.relative_risk(state, level), True
+        return coarse(self.coarse, key, level), True
 
-    def _handle_cluster_profile(
-        self, request: QueryRequest, deadline: Deadline, level: int
-    ) -> tuple[dict[str, object], bool]:
-        cluster_raw = request.param("cluster") or "0"
-        try:
-            cluster = int(cluster_raw)
-        except ValueError as exc:
-            raise QueryError(f"cluster must be an integer, got {cluster_raw!r}") from exc
-        if level == 0:
-            try:
-                clustering = cast(
-                    UserClustering, self.store.load("clustering")
-                )
-                deadline.check(self.clock.now())
-                self._spend(self.policy.cluster_profile_cost, deadline)
-                profile = clustering.cluster_profile(cluster)
-                sizes = clustering.relative_sizes()
-                return (
-                    {
-                        "cluster": cluster,
-                        "k": clustering.k,
-                        "relative_size": round(float(sizes[cluster]), 9),
-                        "profile": [
-                            [organ.value, round(float(weight), 9)]
-                            for organ, weight in profile
-                        ],
-                    },
-                    False,
-                )
-            except (BreakerOpenError, InjectedQueryError):
-                pass
-        self._spend(self.policy.coarse_cost, deadline)
-        return self.coarse.cluster_profile(level), True
+
+def _refuse(
+    report: OverloadReport,
+    request_id: str,
+    outcome: Outcome,
+    status: str,
+    label: str,
+    level: int = 0,
+    finished_at: float = 0.0,
+) -> Response:
+    """Count one payload-free response and build it.
+
+    ``label`` tags the telemetry counter: the shed reason, where the
+    request expired (``queue`` or ``handler``), or why it was
+    dead-lettered.
+    """
+    if outcome is Outcome.REJECTED:
+        report.shed += 1
+        if status == "queue_full":
+            report.shed_queue_full += 1
+        else:
+            report.shed_rate_limited += 1
+        current().inc("serve.shed", reason=label)
+    elif outcome is Outcome.EXPIRED:
+        report.expired += 1
+        current().inc("serve.expired", where=label)
+    else:
+        report.dead_lettered += 1
+        current().inc("serve.dead_lettered", reason=label)
+    return Response(
+        request_id=request_id,
+        outcome=outcome,
+        status=status,
+        brownout_level=level,
+        finished_at=finished_at,
+    )
 
 
 # -- request/response JSONL IO ------------------------------------------

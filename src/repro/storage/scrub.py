@@ -23,9 +23,9 @@ Policy, per file (in order):
 5. All covered records intact but some are missing → **truncated**
    (data loss with no local copy to repair from).
 
-:class:`ScrubReport` implements the :class:`repro.health.HealthReport`
-protocol, so scrub results render exactly like transport/compute health
-under ``repro scrub``.
+:class:`ScrubReport` renders as ``(label, value)`` rows, so scrub
+results print exactly like transport/compute health under
+``repro scrub``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import StorageError
-from repro.health import rows_to_lines
 from repro.obs.telemetry import current as telemetry_current
 from repro.storage.atomic import atomic_write_bytes
 from repro.storage.fs import LOCAL_FS, FileSystem
@@ -120,7 +119,7 @@ class FileScrubResult:
 
 @dataclass(slots=True)
 class ScrubReport:
-    """Aggregate scrub outcome; implements the HealthReport protocol."""
+    """Aggregate scrub outcome, rendered as ``(label, value)`` rows."""
 
     results: list[FileScrubResult] = field(default_factory=list)
 
@@ -161,10 +160,6 @@ class ScrubReport:
             ("records quarantined", str(self.records_quarantined)),
             ("unrecoverable files", str(len(self.failures))),
         ]
-
-    def summary_lines(self) -> list[str]:
-        return rows_to_lines(self.as_rows())
-
 
 def _read_lines(path: str | Path, fs: FileSystem) -> tuple[list[bytes], bool]:
     """Physical lines (no newline) and whether the file ends in one."""

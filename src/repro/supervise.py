@@ -63,7 +63,6 @@ from typing import Any, TypeVar
 
 from repro.errors import ConfigError
 from repro.faults.compute import InjectedComputeError, WorkerFault, WorkerFaultPlan
-from repro.health import rows_to_lines
 from repro.obs import current as telemetry_current
 from repro.obs.clock import MONOTONIC
 
@@ -213,9 +212,9 @@ class RunHealth:
     """What one supervised compute run survived.
 
     The compute-layer sibling of
-    :class:`repro.twitter.resilient.ReliabilityReport`; both implement
-    the :class:`repro.health.HealthReport` protocol and are surfaced
-    together under a run's output.
+    :class:`repro.twitter.resilient.ReliabilityReport`; both render as
+    ``(label, value)`` rows (``as_rows``) and are surfaced together
+    under a run's output.
 
     Attributes:
         tasks: tasks submitted.
@@ -266,9 +265,6 @@ class RunHealth:
                 )
             )
         return rows
-
-    def summary_lines(self) -> list[str]:
-        return rows_to_lines(self.as_rows())
 
     def to_dict(self) -> dict[str, object]:
         data: dict[str, object] = {

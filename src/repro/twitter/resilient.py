@@ -41,7 +41,6 @@ from typing import Any
 
 from repro.config import ResiliencePolicy
 from repro.errors import ConfigError, SerializationError
-from repro.health import rows_to_lines
 from repro.obs import current as telemetry_current
 from repro.storage.fs import FileSystem
 from repro.storage.jsonl import read_objects_jsonl, write_jsonl_lines
@@ -186,9 +185,9 @@ class ReliabilityReport:
 
     Exposed alongside :class:`repro.pipeline.runner.PipelineReport` so a
     chaos run documents both what it kept and what it lived through.
-    Implements the :class:`repro.health.HealthReport` protocol, the same
-    surface as the compute layer's
-    :class:`repro.supervise.RunHealth` — one rendering path serves both.
+    Renders as ``(label, value)`` rows (``as_rows``), the same surface
+    as the compute layer's :class:`repro.supervise.RunHealth` — one
+    rendering path serves both.
     """
 
     connects: int = 0
@@ -226,9 +225,6 @@ class ReliabilityReport:
             ("Dead-lettered frames", f"{self.dead_lettered:,}"),
             ("Records delivered", f"{self.delivered:,}"),
         ]
-
-    def summary_lines(self) -> list[str]:
-        return rows_to_lines(self.as_rows())
 
     def to_dict(self) -> dict[str, object]:
         """Full round-trippable form (counters plus dead letters) —

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli.main import build_parser, main
@@ -216,6 +221,61 @@ class TestMonitor:
         out = capsys.readouterr().out
         assert "done:" in out
         assert "tweets=" in out
+
+
+class TestErrorPath:
+    """A ``ReproError`` or ``OSError`` that no command handles ends in one
+    ``error:`` line and exit code 1, and leaves no output behind."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "{out}", "--scale", "0"],
+            ["generate", "{out}", "--scale", "nan"],
+            ["generate", "{missing}"],
+            ["calibrate", "--scale", "0"],
+            ["reproduce", "--scale", "-1"],
+            ["replicate", "--seeds", "1", "--scale", "0"],
+            ["monitor", "{firehose}", "--window-days", "0"],
+            ["monitor", "{firehose}", "--min-users", "0"],
+            ["analyze", "{corpus}", "--alpha", "2", "--out", "{out}"],
+            ["collect", "{firehose}", "{out}", "--min-confidence", "2"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_error_line_and_exit_one(
+        self, argv, firehose, corpus_file, tmp_path, capsys
+    ):
+        paths = {
+            "out": tmp_path / "out.jsonl",
+            "missing": tmp_path / "missing" / "out.jsonl",
+            "firehose": firehose,
+            "corpus": corpus_file,
+        }
+        assert main([part.format(**paths) for part in argv]) == 1
+        captured = capsys.readouterr()
+        errors = [
+            line for line in captured.out.splitlines()
+            if line.startswith("error:")
+        ]
+        assert len(errors) == 1
+        assert captured.out.splitlines()[-1] == errors[0]
+        assert captured.err == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_traceback_from_the_module_entry_point(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = tmp_path / "out.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "generate", str(out),
+             "--scale", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("error: scale must be > 0")
+        assert proc.stderr == ""
+        assert not out.exists()
 
 
 class TestReproduce:

@@ -238,13 +238,8 @@ class TestRunHealth:
         assert RunHealth.from_dict(health.to_dict()) == health
 
     def test_summary_lines_name_the_quarantined_task(self):
-        lines = self.make_health().summary_lines()
-        assert any("shard 2" in line for line in lines)
-
-    def test_satisfies_health_protocol(self):
-        from repro.health import HealthReport
-
-        assert isinstance(self.make_health(), HealthReport)
+        rows = self.make_health().as_rows()
+        assert any("shard 2" in label for label, __ in rows)
 
     def test_injected_error_is_not_a_repro_error(self):
         from repro.errors import ReproError

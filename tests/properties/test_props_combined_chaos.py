@@ -80,4 +80,4 @@ class TestTripleChaosEquivalence:
         assert not report.compute.degraded
         # The faulty filesystem logged its injections (possibly zero for
         # an unlucky seed, but the log itself must exist and render).
-        assert fs.injected.summary_lines()
+        assert fs.injected.as_rows()

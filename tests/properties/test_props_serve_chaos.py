@@ -172,7 +172,7 @@ class TestDeterministicReplay:
         self, chaos_run_dir, request_file
     ):
         reports = [
-            run_serve(chaos_run_dir, request_file, seed)[1].report.to_dict()
+            run_serve(chaos_run_dir, request_file, seed)[1].report
             for seed in SEEDS
         ]
         assert any(reports[0] != other for other in reports[1:])

@@ -104,9 +104,7 @@ class TestSharedCacheService:
         # accounting are identical cold, warm, or private.
         assert cold_result.responses == baseline.responses
         assert warm_result.responses == baseline.responses
-        assert (
-            warm_result.report.to_dict() == baseline.report.to_dict()
-        )
+        assert warm_result.report == baseline.report
 
     def test_warm_service_skips_builder_work(self, serve_run_dir):
         shared = ArtifactCache()

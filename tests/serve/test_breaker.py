@@ -8,7 +8,6 @@ from repro.errors import ConfigError
 from repro.serve.breaker import (
     BreakerPolicy,
     BreakerState,
-    BreakerTransition,
     CircuitBreaker,
 )
 
@@ -119,12 +118,3 @@ class TestCircuitBreaker:
             )
         assert probes[0] == probes[1]
         assert 1.0 <= probes[0] <= 1.5
-
-    def test_transition_round_trips_through_dict(self):
-        transition = BreakerTransition(
-            at=1.5, from_state="closed", to_state="open",
-            reason="failure_threshold",
-        )
-        assert (
-            BreakerTransition.from_dict(transition.to_dict()) == transition
-        )

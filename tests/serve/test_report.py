@@ -1,8 +1,7 @@
-"""OverloadReport: the serving layer's HealthReport implementor."""
+"""OverloadReport: the serving layer's accounting report."""
 
 from __future__ import annotations
 
-from repro.health import HealthReport
 from repro.serve.breaker import BreakerTransition
 from repro.serve.report import OverloadReport
 
@@ -30,9 +29,6 @@ def sample_report() -> OverloadReport:
 
 
 class TestOverloadReport:
-    def test_implements_health_report_protocol(self):
-        assert isinstance(OverloadReport(), HealthReport)
-
     def test_accounting_exact(self):
         assert sample_report().accounted
         assert OverloadReport().accounted  # vacuously: 0 == 0
@@ -47,16 +43,12 @@ class TestOverloadReport:
         rows = report.as_rows()
         assert ("requests submitted", "10") in rows
         assert ("accounting", "exact") in rows
-        assert report.summary_lines() == [
-            f"{label}: {value}" for label, value in rows
-        ]
+        assert all(
+            isinstance(label, str) and isinstance(value, str)
+            for label, value in rows
+        )
 
     def test_broken_accounting_is_loud(self):
         report = sample_report()
         report.completed -= 1
         assert ("accounting", "BROKEN") in report.as_rows()
-
-    def test_round_trips_through_dict(self):
-        report = sample_report()
-        back = OverloadReport.from_dict(report.to_dict())
-        assert back == report

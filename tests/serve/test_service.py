@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.dataset.io import write_jsonl
+from repro.config import UserClusteringConfig
+from repro.core.attention import build_attention_matrix
+from repro.core.characterize import characterize_regions
+from repro.core.relative_risk import highlighted_organs
+from repro.core.user_clusters import cluster_users
+from repro.dataset.corpus import TweetCorpus
+from repro.dataset.io import read_jsonl, write_jsonl
 from repro.dataset.records import CollectedTweet
 from repro.faults.load import LoadFaultPlan
 from repro.geo.geocoder import GeoMatch
@@ -17,8 +23,9 @@ from repro.organs import ORGANS
 from repro.serve.artifacts import ArtifactCache
 from repro.serve.admission import AdmissionPolicy
 from repro.serve.breaker import BreakerPolicy
-from repro.serve.degrade import BrownoutPolicy
+from repro.serve.degrade import BrownoutPolicy, CoarseSummaries
 from repro.serve.service import (
+    CLUSTER_K,
     Outcome,
     QueryError,
     QueryRequest,
@@ -28,6 +35,7 @@ from repro.serve.service import (
     write_responses_jsonl,
 )
 from repro.twitter.models import Tweet, UserProfile
+from tests.serve.conftest import SERVE_STATES
 
 
 def request(
@@ -324,6 +332,51 @@ class TestDeadLetters:
         assert result.report.accounted
 
 
+class TestOutOfRangeCluster:
+    """A cluster id outside ``[0, CLUSTER_K)`` is a bad parameter: it
+    dead-letters at every brownout level, before any artifact load."""
+
+    def test_dead_letters_at_every_brownout_level(self, serve_run_dir):
+        policy = ServicePolicy(
+            brownout=BrownoutPolicy(
+                level1_depth=2, level2_depth=4, sustain_ticks=1,
+                recover_ticks=1,
+            )
+        )
+        requests = [
+            QueryRequest(
+                request_id=f"r{i}",
+                kind="cluster_profile",
+                arrival=0.0,
+                params=(("cluster", str(cluster)),),
+            )
+            for i, cluster in enumerate([CLUSTER_K, -1] * 6)
+        ]
+        result = QueryService(serve_run_dir, policy=policy).serve(requests)
+        assert {r.brownout_level for r in result.responses} == {0, 1, 2}
+        assert {r.status for r in result.responses} == {
+            "handler_error:QueryError"
+        }
+        assert result.report.dead_lettered == len(requests)
+
+    @pytest.mark.parametrize("cluster", [str(CLUSTER_K), "-1"])
+    def test_lone_request_pays_no_artifact_load(self, serve_run_dir, cluster):
+        result = QueryService(serve_run_dir).serve(
+            [
+                QueryRequest(
+                    request_id="r",
+                    kind="cluster_profile",
+                    arrival=0.0,
+                    params=(("cluster", cluster),),
+                )
+            ]
+        )
+        [response] = result.responses
+        assert response.status == "handler_error:QueryError"
+        assert response.finished_at == 0.0
+        assert result.report.artifact_loads == 0
+
+
 class TestBreakerIntegration:
     def test_failing_loads_degrade_instead_of_hanging(self, serve_run_dir):
         plan = LoadFaultPlan(
@@ -443,7 +496,7 @@ class TestOfferedLoadSchedule:
             kind = "health" if i % 8 == 0 else kinds[i % 3]
             params: tuple[tuple[str, str], ...] = ()
             if kind == "cluster_profile":
-                params = (("cluster", str(i % policy.cluster_k)),)
+                params = (("cluster", str(i % CLUSTER_K)),)
             elif kind != "health":
                 params = (("state", "KS"),)
             requests.append(
@@ -510,3 +563,164 @@ class TestStorms:
         assert result.report.submitted == 2
         assert result.report.dead_lettered == 1
         assert result.report.accounted
+
+
+class TestAnswersMatchOracle:
+    """Every answer equals one built here from the analysis functions.
+
+    Fresh (``ok``) payloads are rebuilt from ``characterize_regions``,
+    ``highlighted_organs`` and a k=6, ``n_init=2`` user clustering;
+    ``degraded`` payloads from :class:`CoarseSummaries` at the response's
+    brownout level.  The schedule holds every kind, an unknown kind, a
+    missing ``state``, a non-integer ``cluster``, deadlines that expire
+    in the queue and mid-handler, and malformed stubs; its burst, at 4x
+    the admission refill rate, drives the ladder through levels 0, 1
+    and 2.
+    """
+
+    KINDS = ("state_signature", "relative_risk", "cluster_profile", "health")
+    MALFORMED = (("line-1", "malformed_json"), ("line-2", "malformed_request"))
+    #: Refusals every plan reaches; chaos adds ``poison_query``.
+    REFUSALS = {
+        "malformed_json",
+        "malformed_request",
+        "rate_limited",
+        "queue_full",
+        "expired_in_queue",
+        "unknown_kind",
+        "deadline_exceeded",
+        "handler_error:QueryError",
+    }
+    PLANS = [LoadFaultPlan.none()] + [
+        LoadFaultPlan.chaos(seed=seed) for seed in (1, 2, 3)
+    ]
+
+    @classmethod
+    def params_for(cls, kind: str, i: int) -> tuple[tuple[str, str], ...]:
+        if kind == "cluster_profile":
+            return (("cluster", str(i % 6)),)
+        if kind == "health":
+            return ()
+        states = SERVE_STATES + ("Atlantis",)
+        return (("state", states[i % len(states)]),)
+
+    @classmethod
+    def schedule(cls) -> list[QueryRequest]:
+        requests: list[QueryRequest] = []
+
+        def add(kind, arrival, params=(), deadline=None):
+            requests.append(
+                QueryRequest(
+                    request_id=f"q{len(requests)}",
+                    kind=kind,
+                    arrival=arrival,
+                    params=params,
+                    deadline=deadline,
+                )
+            )
+
+        # The first request pays the artifact load (0.25 s) while the
+        # burst fills the queue, as in TestOfferedLoadSchedule.
+        for i in range(240):
+            kind = "health" if i % 8 == 0 else cls.KINDS[i % 3]
+            add(
+                kind,
+                round(i / 800.0, 9),
+                cls.params_for(kind, i),
+                deadline=0.05 if i % 16 == 5 else None,
+            )
+        # A quiet tail walks the ladder back down to level 0.
+        for i in range(36):
+            kind = cls.KINDS[i % 4]
+            add(kind, 2.0 + i * 0.5, cls.params_for(kind, i))
+        # The signature stage (0.02 s) outlives this budget.
+        add("state_signature", 21.0, (("state", "Ohio"),), deadline=0.01)
+        add("nonsense", 22.0)
+        add("state_signature", 23.0)
+        add("cluster_profile", 24.0, (("cluster", "two"),))
+        add("cluster_profile", 25.0)
+        return requests
+
+    @pytest.fixture(scope="class")
+    def oracle(self, serve_run_dir):
+        corpus = TweetCorpus(read_jsonl(serve_run_dir / "corpus.jsonl"))
+        regions = characterize_regions(corpus)
+        risks = highlighted_organs(corpus)
+        clustering = cluster_users(
+            build_attention_matrix(corpus), UserClusteringConfig(k=6, n_init=2)
+        )
+        coarse = CoarseSummaries.from_corpus(corpus)
+
+        def ranked(pairs):
+            return [[organ.value, round(float(weight), 9)] for organ, weight in pairs]
+
+        def fresh(request):
+            state = request.param("state")
+            if request.kind == "state_signature":
+                if state not in regions.states:
+                    return {"state": state, "found": False}
+                return {
+                    "state": state,
+                    "found": True,
+                    "signature": ranked(regions.signature(state)),
+                }
+            if request.kind == "relative_risk":
+                if state not in risks:
+                    return {"state": state, "found": False}
+                return {
+                    "state": state,
+                    "found": True,
+                    "highlighted": [organ.value for organ in risks[state]],
+                }
+            cluster = int(request.param("cluster") or "0")
+            return {
+                "cluster": cluster,
+                "k": 6,
+                "relative_size": round(
+                    float(clustering.relative_sizes()[cluster]), 9
+                ),
+                "profile": ranked(clustering.cluster_profile(cluster)),
+            }
+
+        def degraded(request, level):
+            if request.kind == "cluster_profile":
+                return coarse.cluster_profile(level)
+            answer = getattr(coarse, request.kind)
+            return answer(request.param("state"), level)
+
+        return fresh, degraded
+
+    def test_every_answer_matches_the_oracle(self, serve_run_dir, oracle):
+        fresh, degraded = oracle
+        requests = {request.request_id: request for request in self.schedule()}
+        poisoned = False
+        for plan in self.PLANS:
+            result = QueryService(serve_run_dir, plan=plan).serve(
+                list(requests.values()), self.MALFORMED
+            )
+            assert result.report.accounted
+            levels = set()
+            statuses = set()
+            for response in result.responses:
+                statuses.add(response.status)
+                request = requests.get(response.request_id.split("~")[0])
+                if response.status == "ok" and request.kind == "health":
+                    assert response.payload["status"] == "ok"
+                    assert (
+                        response.payload["brownout_level"]
+                        == response.brownout_level
+                    )
+                elif response.status == "ok":
+                    assert response.payload == fresh(request), response
+                    levels.add(response.brownout_level)
+                elif response.status == "degraded":
+                    assert response.payload == degraded(
+                        request, response.brownout_level
+                    ), response
+                    levels.add(response.brownout_level)
+                else:
+                    assert response.payload is None
+            assert levels == {0, 1, 2}, plan
+            assert self.REFUSALS <= statuses, (plan, self.REFUSALS - statuses)
+            poisoned = poisoned or "poison_query" in statuses
+        assert poisoned

@@ -143,6 +143,6 @@ class TestFlipBits:
 
 def test_injected_counters_render():
     injected = InjectedStorageFaults(eio=2, crashes=1)
-    lines = injected.summary_lines()
-    assert any("transient EIO" in line and "2" in line for line in lines)
-    assert any("crash" in line for line in lines)
+    rows = dict(injected.as_rows())
+    assert rows["transient EIO injected"] == "2"
+    assert rows["crashes injected"] == "1"

@@ -204,8 +204,9 @@ class TestScrubPaths:
         report = scrub_paths([tmp_path])
         assert report.files_scanned >= 2
         assert report.records_quarantined >= 1
-        assert any("records quarantined" in line
-                   for line in report.summary_lines())
+        assert dict(report.as_rows())["records quarantined"] == str(
+            report.records_quarantined
+        )
 
     def test_sidecar_path_is_resolved_to_data(self, manifested):
         report = scrub_paths([manifest_path(manifested)])
