@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 
@@ -262,12 +263,24 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     A :class:`~repro.errors.ReproError` or :class:`OSError` that a
     command does not handle itself becomes one ``error:`` line and exit
-    code 1.
+    code 1.  A closed standard output (the reader of a pipe went away)
+    ends the command with exit code 1 and nothing more.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return int(args.func(args))
+        code = int(args.func(args))
+        # Flush inside the try, so a closed stdout fails here and not in
+        # the interpreter's flush at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nothing can be reported to a closed stdout.  Point it at
+        # devnull so the flush at exit does not fail again (the SIGPIPE
+        # note in Python's signal module documentation).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (ReproError, OSError) as exc:
         print(f"error: {exc}")
         return 1

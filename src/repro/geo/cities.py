@@ -86,7 +86,17 @@ def city_state(city: str) -> str | None:
     return CITY_TO_STATE.get(city.strip().lower())
 
 
+def _cities_by_state() -> dict[str, tuple[str, ...]]:
+    by_state: dict[str, list[str]] = {}
+    for city, state in CITY_TO_STATE.items():
+        by_state.setdefault(state, []).append(city)
+    return {state: tuple(cities) for state, cities in by_state.items()}
+
+
+#: USPS state code -> its cities in table order, indexed once at import.
+_CITIES_BY_STATE = _cities_by_state()
+
+
 def cities_in_state(abbrev: str) -> tuple[str, ...]:
-    """Known city names located in the given state."""
-    code = abbrev.strip().upper()
-    return tuple(city for city, state in CITY_TO_STATE.items() if state == code)
+    """Known city names located in the given state, in table order."""
+    return _CITIES_BY_STATE.get(abbrev.strip().upper(), ())

@@ -57,14 +57,14 @@ class LocationStyler:
         elif roll < 0.80:
             text = f"{state.name}, USA"
         elif roll < 0.88 and state.nicknames:
-            text = str(self._rng.choice(state.nicknames))
+            text = self._pick(state.nicknames)
         else:
             text = self._city_comma_name(state)
         return self._decorate(text)
 
     def style_junk(self) -> str:
         """A location string that should not geocode anywhere."""
-        return str(self._rng.choice(JUNK_LOCATIONS))
+        return self._pick(JUNK_LOCATIONS)
 
     def _city_comma_abbrev(self, state: StateInfo) -> str:
         city = self._pick_city(state)
@@ -81,7 +81,7 @@ class LocationStyler:
         cities = cities_in_state(state.abbrev)
         if not cities:
             return state.name
-        city = str(self._rng.choice(cities))
+        city = self._pick(cities)
         # City table disambiguates duplicates with a state suffix ("salem or");
         # strip it for display — the comma pattern re-adds the real state.
         if city.endswith(f" {state.abbrev.lower()}"):
@@ -96,5 +96,9 @@ class LocationStyler:
         elif roll < 0.18:
             text = text.upper() if len(text) > 2 else text
         if self._rng.random() < 0.08:
-            text = f"{text} {self._rng.choice(_EMOJI)}"
+            text = f"{text} {self._pick(_EMOJI)}"
         return text
+
+    def _pick(self, options: tuple[str, ...]) -> str:
+        """One of ``options``: the draw ``rng.choice(options)`` makes, without its overhead."""
+        return options[int(self._rng.integers(len(options)))]

@@ -180,6 +180,10 @@ class TraceSummary:
     Attributes:
         stages: (span name, worker, duration) for every ``stage.*``
             span, in recorded order.
+        stage_children: (span name, duration) of each direct child span
+            of a stage span, keyed by the stage's position in
+            :attr:`stages`, in recorded order.  A child runs in its
+            stage's worker.
         funnel: pipeline funnel counters keyed by counter name (with a
             ``{stage=...}`` suffix for labelled drops), insertion order
             = canonical sorted export order.
@@ -191,6 +195,9 @@ class TraceSummary:
     """
 
     stages: list[tuple[str, str, float]] = field(default_factory=list)
+    stage_children: dict[int, list[tuple[str, float]]] = field(
+        default_factory=dict
+    )
     funnel: dict[str, float] = field(default_factory=dict)
     slowest_shards: list[tuple[str, float]] = field(default_factory=list)
     fault_counters: dict[str, float] = field(default_factory=dict)
@@ -200,8 +207,10 @@ class TraceSummary:
     def as_rows(self) -> list[tuple[str, str]]:
         """(label, value) pairs for table rendering."""
         rows: list[tuple[str, str]] = []
-        for name, worker, duration in self.stages:
+        for position, (name, worker, duration) in enumerate(self.stages):
             rows.append((f"{name} [{worker}]", f"{duration:.6f}s"))
+            for child, child_duration in self.stage_children.get(position, []):
+                rows.append((f"  {child}", f"{child_duration:.6f}s"))
         for name, value in self.funnel.items():
             rows.append((name, f"{value:g}"))
         for worker, duration in self.slowest_shards:
@@ -215,8 +224,18 @@ class TraceSummary:
     def to_dict(self) -> dict[str, object]:
         return {
             "stages": [
-                {"name": name, "worker": worker, "duration": duration}
-                for name, worker, duration in self.stages
+                {
+                    "name": name,
+                    "worker": worker,
+                    "duration": duration,
+                    "children": [
+                        {"name": child, "duration": child_duration}
+                        for child, child_duration in self.stage_children.get(
+                            position, []
+                        )
+                    ],
+                }
+                for position, (name, worker, duration) in enumerate(self.stages)
             ],
             "funnel": dict(self.funnel),
             "slowest_shards": [
@@ -244,6 +263,10 @@ def summarize_trace(records: list[dict[str, object]]) -> TraceSummary:
     """Fold parsed trace records into the ``repro trace`` summary."""
     summary = TraceSummary()
     shards: list[tuple[str, float]] = []
+    # A span is recorded when it ends, after its children: collect the
+    # nested spans and attach them to their stages once all are read.
+    nested: list[tuple[str, int, str, float]] = []
+    stage_positions: dict[tuple[str, int], int] = {}
     for record in records:
         kind = record.get("kind")
         if kind == "span":
@@ -257,7 +280,12 @@ def summarize_trace(records: list[dict[str, object]]) -> TraceSummary:
             ):
                 continue
             duration = float(end) - float(start)
+            span_id, parent_id = record.get("span_id"), record.get("parent_id")
+            if isinstance(parent_id, int):
+                nested.append((worker, parent_id, name, duration))
             if name.startswith("stage."):
+                if isinstance(span_id, int):
+                    stage_positions[(worker, span_id)] = len(summary.stages)
                 summary.stages.append((name, worker, duration))
             elif name == "shard":
                 shards.append((worker, duration))
@@ -272,6 +300,12 @@ def summarize_trace(records: list[dict[str, object]]) -> TraceSummary:
                 summary.funnel[label] = float(value)
             else:
                 summary.fault_counters[label] = float(value)
+    for worker, parent_id, name, duration in nested:
+        position = stage_positions.get((worker, parent_id))
+        if position is not None:
+            summary.stage_children.setdefault(position, []).append(
+                (name, duration)
+            )
     shards.sort(key=lambda pair: (-pair[1], pair[0]))
     summary.slowest_shards = shards
     return summary

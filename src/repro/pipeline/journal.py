@@ -55,13 +55,14 @@ from repro.dataset.io import (
 )
 from repro.errors import ClusteringError, ConfigError, PipelineError
 from repro.faults.compute import WorkerFaultPlan
-from repro.obs import NULL_TELEMETRY, Telemetry, activate
+from repro.obs import NULL_TELEMETRY, Telemetry, activate, current
 from repro.obs.export import TRACE_FILENAME, write_trace
 from repro.pipeline.runner import CollectionPipeline, PipelineReport
 from repro.storage.atomic import atomic_write_text
 from repro.storage.fs import LOCAL_FS, FileSystem
 from repro.storage.manifest import build_manifest, write_text_with_manifest
 from repro.supervise import SupervisorPolicy, check_workers
+from repro.synth.config import check_seed
 from repro.synth.scenarios import check_scale, paper2016_scenario
 from repro.synth.world import SyntheticWorld
 
@@ -82,9 +83,9 @@ class RunParams:
         worker_chaos_seed: compute fault-plan seed.
 
     Raises:
-        ConfigError: for a ``scale``, ``workers``, ``k`` or ``alpha`` its
-            stage would reject, so a bad run fails before it creates
-            anything.
+        ConfigError: for a ``scale``, ``seed``, ``workers``, ``k`` or
+            ``alpha`` its stage would reject, so a bad run fails before it
+            creates anything.
     """
 
     scale: float = 0.01
@@ -100,6 +101,7 @@ class RunParams:
     def __post_init__(self) -> None:
         # The same checks the stages apply, run up front.
         check_scale(self.scale)
+        check_seed(self.seed)
         check_workers(self.workers)
         try:
             check_user_k(self.k)
@@ -377,12 +379,17 @@ class _StageRunner:
         getattr(self, f"_stage_{stage}")()
 
     def _stage_firehose(self) -> None:
-        world = SyntheticWorld(
-            paper2016_scenario(scale=self.params.scale, seed=self.params.seed)
-        )
-        write_tweets_jsonl(
-            world.firehose(), self.run_dir / "firehose.jsonl", fs=self.fs
-        )
+        telemetry = current()
+        with telemetry.span("synth.world"):
+            world = SyntheticWorld(
+                paper2016_scenario(scale=self.params.scale, seed=self.params.seed)
+            )
+        # The firehose is a generator: rendering, encoding and writing
+        # interleave tweet by tweet, so one span covers all three.
+        with telemetry.span("firehose.render_write"):
+            write_tweets_jsonl(
+                world.firehose(), self.run_dir / "firehose.jsonl", fs=self.fs
+            )
 
     def _stage_collect(self) -> None:
         fault_plan = None

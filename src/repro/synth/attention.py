@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.organs import N_ORGANS, ORGANS, Organ
 from repro.synth.config import AttentionConfig
+from repro.synth.draws import choice_cdf, draw
 
 
 class Archetype(enum.Enum):
@@ -53,6 +54,8 @@ CO_ATTENTION: np.ndarray = np.array(
 #: common dual transplants (heart–kidney, liver–kidney, kidney–pancreas).
 DUAL_PARTNER = CO_ATTENTION  # same directed structure
 
+_DUAL_PARTNER_CDFS = tuple(choice_cdf(row) for row in DUAL_PARTNER)
+
 
 @dataclass(frozen=True, slots=True)
 class UserAttention:
@@ -74,6 +77,11 @@ class UserAttention:
 class AttentionModel:
     """Samples ground-truth attention vectors.
 
+    The weighted draws go through cdfs built once per state prior and
+    per :data:`DUAL_PARTNER` row (:mod:`repro.synth.draws`), and each
+    Dirichlet concentration vector is built once per (archetype, focal,
+    secondary), so a sample costs its draws and little else.
+
     Args:
         config: attention configuration (priors, boosts, archetype mix).
         rng: generator all sampling flows through.
@@ -82,55 +90,41 @@ class AttentionModel:
     def __init__(self, config: AttentionConfig, rng: np.random.Generator):
         self._config = config
         self._rng = rng
-        self._state_priors: dict[str | None, np.ndarray] = {}
+        self._focal_cdfs: dict[str | None, list[float]] = {}
+        self._alphas: dict[tuple[Archetype, int, int | None], np.ndarray] = {}
 
     def focal_prior(self, state: str | None) -> np.ndarray:
         """Focal-organ distribution for a state (boosted, renormalized)."""
-        cached = self._state_priors.get(state)
-        if cached is not None:
-            return cached
         prior = np.array(self._config.national_prior, dtype=float)
         boosts = self._config.state_boosts.get(state or "", {})
         for organ_index, multiplier in boosts.items():
             prior[organ_index] *= multiplier
-        prior = prior / prior.sum()
-        self._state_priors[state] = prior
-        return prior
+        return prior / prior.sum()
 
     def sample(self, state: str | None) -> UserAttention:
         """Sample one user's ground-truth attention."""
         config = self._config
-        roll = self._rng.random()
-        prior = self.focal_prior(state)
-        focal_index = int(self._rng.choice(N_ORGANS, p=prior))
+        rng = self._rng
+        roll = rng.random()
+        focal_cdf = self._focal_cdfs.get(state)
+        if focal_cdf is None:
+            focal_cdf = self._focal_cdfs[state] = choice_cdf(self.focal_prior(state))
+        focal_index = draw(focal_cdf, rng)
 
+        secondary_index: int | None = None
         if roll < config.archetype_probs[0]:
             archetype = Archetype.SINGLE_FOCUS
-            secondary_index = None
-            base = (
-                config.focal_weight * _one_hot(focal_index)
-                + (1.0 - config.focal_weight) * CO_ATTENTION[focal_index]
-            )
         elif roll < config.archetype_probs[0] + config.archetype_probs[1]:
             archetype = Archetype.DUAL_FOCUS
-            secondary_index = int(
-                self._rng.choice(N_ORGANS, p=DUAL_PARTNER[focal_index])
-            )
-            primary_weight = 1.0 - config.dual_secondary_weight
-            base = primary_weight * _one_hot(focal_index)
-            base = base + config.dual_secondary_weight * _one_hot(secondary_index)
-            # A sliver of background attention so dual users occasionally
-            # mention a third organ.
-            base = 0.96 * base + 0.04 * CO_ATTENTION[focal_index]
+            secondary_index = draw(_DUAL_PARTNER_CDFS[focal_index], rng)
         else:
             archetype = Archetype.BROAD
-            secondary_index = None
-            # Broad advocates track the national conversation with a mild
-            # tilt toward their own focal organ.
-            national = np.array(config.national_prior)
-            base = 0.75 * national + 0.25 * _one_hot(focal_index)
 
-        distribution = self._rng.dirichlet(base * config.dirichlet_concentration)
+        key = (archetype, focal_index, secondary_index)
+        alpha = self._alphas.get(key)
+        if alpha is None:
+            alpha = self._alphas[key] = self._concentration(*key)
+        distribution = rng.dirichlet(alpha)
         # Dirichlet noise can displace the intended focal organ; restore it
         # so the planted ground truth stays exact for single/dual users.
         if archetype is not Archetype.BROAD:
@@ -143,6 +137,30 @@ class AttentionModel:
             secondary=None if secondary_index is None else ORGANS[secondary_index],
             distribution=distribution,
         )
+
+    def _concentration(
+        self, archetype: Archetype, focal_index: int, secondary_index: int | None
+    ) -> np.ndarray:
+        """Dirichlet parameters: the archetype's profile times the concentration."""
+        config = self._config
+        if secondary_index is not None:  # dual focus
+            primary_weight = 1.0 - config.dual_secondary_weight
+            base = primary_weight * _one_hot(focal_index)
+            base = base + config.dual_secondary_weight * _one_hot(secondary_index)
+            # A sliver of background attention so dual users occasionally
+            # mention a third organ.
+            base = 0.96 * base + 0.04 * CO_ATTENTION[focal_index]
+        elif archetype is Archetype.SINGLE_FOCUS:
+            base = (
+                config.focal_weight * _one_hot(focal_index)
+                + (1.0 - config.focal_weight) * CO_ATTENTION[focal_index]
+            )
+        else:
+            # Broad advocates track the national conversation with a mild
+            # tilt toward their own focal organ.
+            national = np.array(config.national_prior)
+            base = 0.75 * national + 0.25 * _one_hot(focal_index)
+        return base * config.dirichlet_concentration
 
 
 def _one_hot(index: int) -> np.ndarray:

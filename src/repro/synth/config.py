@@ -17,6 +17,12 @@ def _require_probability(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be in [0, 1], got {value}")
 
 
+def check_seed(seed: int) -> None:
+    """Raise :class:`ConfigError` unless ``seed`` is >= 0, as numpy's seeding requires."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True, slots=True)
 class PopulationConfig:
     """Who tweets about organ donation.
@@ -172,3 +178,6 @@ class SynthConfig:
     activity: ActivityConfig = field(default_factory=ActivityConfig)
     text: TextConfig = field(default_factory=TextConfig)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_seed(self.seed)

@@ -93,7 +93,9 @@ def generate_population(
 
     for offset in range(n_foreign):
         user_id = n_us + offset
-        location = str(rng.choice(foreign_locations)).title()
+        location = foreign_locations[
+            int(rng.integers(len(foreign_locations)))
+        ].title()
         seeds.append(
             UserSeed(
                 user_id=user_id,

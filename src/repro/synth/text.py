@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.organs import Organ
+from repro.synth.draws import choice_cdf, draw
 
 #: Surface forms per organ: (form, weight).  All forms resolve back to the
 #: organ through :data:`repro.organs.ALIASES` or hashtag substring rules.
@@ -105,13 +106,13 @@ class TweetTextGenerator:
         self._alias_rate = alias_rate
         self._retweet_rate = retweet_rate
         self._handles = handles or self._FALLBACK_HANDLES
-        self._forms = {
-            organ: (
+        self._forms: dict[Organ, tuple[tuple[str, ...], list[float]]] = {}
+        for organ, forms in _SURFACE_FORMS.items():
+            weights = np.array([weight for __, weight in forms])
+            self._forms[organ] = (
                 tuple(form for form, __ in forms),
-                np.array([weight for __, weight in forms]),
+                choice_cdf(weights / weights.sum()),
             )
-            for organ, forms in _SURFACE_FORMS.items()
-        }
 
     def on_topic(self, organs: tuple[Organ, ...]) -> str:
         """Render an on-topic tweet mentioning exactly these organs."""
@@ -146,8 +147,7 @@ class TweetTextGenerator:
         return OFF_TOPIC_TEMPLATES[int(self._rng.integers(len(OFF_TOPIC_TEMPLATES)))]
 
     def _surface(self, organ: Organ) -> str:
-        forms, weights = self._forms[organ]
         if self._rng.random() >= self._alias_rate:
             return organ.value
-        index = int(self._rng.choice(len(forms), p=weights / weights.sum()))
-        return forms[index]
+        forms, cdf = self._forms[organ]
+        return forms[draw(cdf, self._rng)]

@@ -10,6 +10,7 @@ that the paper's pipeline *recovers* what was planted.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro.geo.cities import cities_in_state
 from repro.organs import N_ORGANS, ORGANS, Organ
-from repro.synth.activity import sample_tweet_counts
+from repro.synth.activity import sample_timestamps_days, sample_tweet_counts
 from repro.synth.attention import AttentionModel, UserAttention
 from repro.synth.config import SynthConfig
 from repro.synth.population import UserSeed, generate_population
@@ -138,7 +139,18 @@ class SyntheticWorld:
         order = rng.permutation(authors.size)
         authors = authors[order]
         is_off_topic = is_off_topic[order]
-        day_offsets = np.sort(rng.random(authors.size) * config.activity.days)
+        day_offsets = sample_timestamps_days(authors.size, config.activity, rng)
+        # Every user's cumulative attention for the per-tweet organ draw:
+        # N_ORGANS entries per user in one flat list, since a list per
+        # user would add tens of thousands of GC-tracked allocations.
+        cumulative = (
+            np.cumsum(
+                [attention.distribution for attention in self.ground_truth.attentions],
+                axis=1,
+            )
+            .ravel()
+            .tolist()
+        )
 
         # Recent on-topic tweets per organ: reply targets for
         # support-group threads (bounded ring buffers).  Reply decisions
@@ -149,13 +161,14 @@ class SyntheticWorld:
         }
         reply_rng = np.random.default_rng(config.seed + 2)
         reply_rate = config.text.reply_rate
-        for tweet_index in range(authors.size):
-            author = int(authors[tweet_index])
+        for tweet_index, (author, off_topic, day_offset) in enumerate(
+            zip(authors.tolist(), is_off_topic.tolist(), day_offsets.tolist())
+        ):
             in_reply_to: int | None = None
-            if is_off_topic[tweet_index]:
+            if off_topic:
                 text = text_gen.off_topic()
             else:
-                organs = self._sample_tweet_organs(author, rng)
+                organs = self._sample_tweet_organs(author, cumulative, rng)
                 text = text_gen.on_topic(organs)
                 pool = recent_by_organ[organs[0]]
                 if reply_rng.random() < reply_rate and pool:
@@ -168,22 +181,27 @@ class SyntheticWorld:
                 tweet_id=tweet_index,
                 user=self._profiles[author],
                 text=text,
-                created_at=COLLECTION_START
-                + timedelta(days=float(day_offsets[tweet_index])),
+                created_at=COLLECTION_START + timedelta(days=day_offset),
                 place=place,
                 in_reply_to=in_reply_to,
             )
 
     def _sample_tweet_organs(
-        self, author: int, rng: np.random.Generator
+        self, author: int, cumulative: list[float], rng: np.random.Generator
     ) -> tuple[Organ, ...]:
-        """Organs mentioned by one tweet, drawn from the author's attention."""
-        attention = self.ground_truth.attentions[author].distribution
+        """Organs mentioned by one tweet, drawn from the author's attention.
+
+        ``cumulative`` holds every user's running attention sums,
+        ``N_ORGANS`` entries per user in user order.
+        """
         if rng.random() >= self.config.activity.multi_organ_tweet_rate:
             # Single-mention fast path (~97% of tweets): inverse-CDF draw.
-            cumulative = np.cumsum(attention)
-            index = int(np.searchsorted(cumulative, rng.random() * cumulative[-1]))
+            start = author * N_ORGANS
+            end = start + N_ORGANS
+            key = rng.random() * cumulative[end - 1]
+            index = bisect_left(cumulative, key, start, end) - start
             return (ORGANS[min(index, N_ORGANS - 1)],)
+        attention = self.ground_truth.attentions[author].distribution
         n_mentions = 2 if rng.random() < 0.8 else 3
         n_mentions = min(n_mentions, int(np.count_nonzero(attention)))
         indices = rng.choice(
@@ -199,7 +217,7 @@ class SyntheticWorld:
         if seed.is_us and seed.state is not None:
             cities = cities_in_state(seed.state)
             if cities:
-                city = str(rng.choice(cities)).title()
+                city = cities[int(rng.integers(len(cities)))].title()
             else:
                 city = seed.state
             return Place(full_name=f"{city}, {seed.state}", country_code="US")

@@ -8,9 +8,9 @@ tweets.  Records are immutable and JSON-serializable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring
 from typing import Any
 
 from repro.errors import SerializationError
@@ -107,8 +107,31 @@ class Tweet:
         }
 
     def to_json(self) -> str:
-        """This tweet as one firehose line (no trailing newline)."""
-        return json.dumps(self.to_dict(), ensure_ascii=False)
+        """This tweet as one firehose line (no trailing newline).
+
+        The same bytes as ``json.dumps(self.to_dict(), ensure_ascii=False)``
+        (keys, order, separators, escaping), written field by field
+        without building the dict: strings go through
+        ``encode_basestring``, the string encoder ``json.dumps`` uses
+        when ``ensure_ascii`` is false.
+        """
+        user = self.user
+        place = self.place
+        place_json = (
+            "null"
+            if place is None
+            else f'{{"full_name": {encode_basestring(place.full_name)}, '
+            f'"country_code": {encode_basestring(place.country_code)}}}'
+        )
+        reply = "null" if self.in_reply_to is None else self.in_reply_to
+        return (
+            f'{{"tweet_id": {self.tweet_id}, "user": {{"user_id": {user.user_id}, '
+            f'"screen_name": {encode_basestring(user.screen_name)}, '
+            f'"location": {encode_basestring(user.location)}}}, '
+            f'"text": {encode_basestring(self.text)}, '
+            f'"created_at": {encode_basestring(self.created_at.isoformat())}, '
+            f'"place": {place_json}, "in_reply_to": {reply}}}'
+        )
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Tweet":

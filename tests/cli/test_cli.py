@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -24,6 +25,14 @@ def corpus_file(firehose, tmp_path_factory):
     code = main(["collect", str(firehose), str(path)])
     assert code == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def traced_run(tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("cli") / "run"
+    argv = ["run", str(run_dir), "--scale", "0.004", "--seed", "3", "--k", "6"]
+    assert main(argv + ["--trace"]) == 0
+    return run_dir
 
 
 class TestParser:
@@ -152,6 +161,7 @@ class TestRun:
             ("--alpha", "1.5", "alpha must be in (0, 1)"),
             ("--workers", "0", "workers must be >= 1"),
             ("--scale", "0", "scale must be > 0"),
+            ("--seed", "-1", "seed must be >= 0"),
         ],
     )
     def test_bad_parameter_fails_before_anything_runs(
@@ -165,6 +175,33 @@ class TestRun:
         assert message in out
         assert "stage" not in out
         assert not run_dir.exists()
+
+
+class TestTrace:
+    def test_text_lists_child_spans_under_their_stage(self, traced_run, capsys):
+        capsys.readouterr()
+        assert main(["trace", str(traced_run)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = next(
+            i for i, line in enumerate(lines)
+            if line.startswith("  stage.firehose [main] ")
+        )
+        assert lines[at + 1].startswith("    synth.world ")
+        assert lines[at + 2].startswith("    firehose.render_write ")
+        assert lines[at + 3].startswith("  stage.collect [main] ")
+
+    def test_json_lists_child_spans_under_their_stage(self, traced_run, capsys):
+        capsys.readouterr()
+        assert main(["trace", str(traced_run), "--format", "json"]) == 0
+        stages = json.loads(capsys.readouterr().out)["stages"]
+        by_name = {stage["name"]: stage for stage in stages}
+        firehose = by_name["stage.firehose"]
+        children = firehose["children"]
+        assert [child["name"] for child in children] == [
+            "synth.world", "firehose.render_write",
+        ]
+        assert sum(child["duration"] for child in children) <= firehose["duration"]
+        assert by_name["stage.fig7"]["children"] == []
 
 
 class TestAnalyze:
@@ -233,7 +270,9 @@ class TestErrorPath:
             ["generate", "{out}", "--scale", "0"],
             ["generate", "{out}", "--scale", "nan"],
             ["generate", "{missing}"],
+            ["generate", "{out}", "--seed", "-1"],
             ["calibrate", "--scale", "0"],
+            ["calibrate", "--seed", "-1"],
             ["reproduce", "--scale", "-1"],
             ["replicate", "--seeds", "1", "--scale", "0"],
             ["monitor", "{firehose}", "--window-days", "0"],
@@ -276,6 +315,27 @@ class TestErrorPath:
         assert proc.stdout.startswith("error: scale must be > 0")
         assert proc.stderr == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("unbuffered", ("1", ""), ids=("unbuffered", "buffered"))
+    def test_closed_stdout_exits_one_without_traceback(
+        self, traced_run, unbuffered
+    ):
+        """``repro trace RUN | (exit 0)``: the reader is gone before the
+        first line is written."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "trace", str(traced_run)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""  # no traceback, no "Exception ignored"
 
 
 class TestReproduce:

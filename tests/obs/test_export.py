@@ -169,6 +169,35 @@ class TestSummarize:
         assert summary.span_count == 2
         assert summary.event_count == 1
 
+    def test_child_spans_listed_under_their_stage(self, telemetry):
+        summary = summarize_trace(trace_records(telemetry))
+        assert summary.stage_children == {0: [("shard", 0.5)]}
+        labels = [label for label, __ in summary.as_rows()]
+        assert labels[:2] == ["stage.collect [main]", "  shard"]
+        assert summary.to_dict()["stages"] == [
+            {
+                "name": "stage.collect",
+                "worker": "main",
+                "duration": 2.0,
+                "children": [{"name": "shard", "duration": 0.5}],
+            }
+        ]
+
+    def test_children_match_their_stage_by_worker(self):
+        records = [{"kind": "meta", "schema": TRACE_SCHEMA, "worker": "main"}]
+        for worker, span_id, parent_id, name in (
+            ("shard-0", 0, 1, "match"),
+            ("main", 0, 1, "synth.world"),
+            ("main", 1, None, "stage.firehose"),
+        ):
+            records.append({
+                "kind": "span", "name": name, "worker": worker,
+                "span_id": span_id, "parent_id": parent_id,
+                "start": 0.0, "end": 1.0, "attrs": {},
+            })
+        summary = summarize_trace(records)
+        assert summary.stage_children == {0: [("synth.world", 1.0)]}
+
     def test_shards_sorted_slowest_first(self):
         records = [
             {"kind": "meta", "schema": TRACE_SCHEMA, "worker": "main"},

@@ -51,6 +51,7 @@ class TestRunParams:
             {"scale": 0.0}, {"scale": -1.0}, {"scale": float("nan")},
             {"scale": float("inf")}, {"workers": 0}, {"k": 5},
             {"alpha": 0.0}, {"alpha": 1.0}, {"alpha": float("nan")},
+            {"seed": -1},
         ],
     )
     def test_out_of_bounds_parameters_rejected(self, kwargs):

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.organs import Organ
+from repro.synth.config import SynthConfig
 from repro.synth.scenarios import (
     PAPER_STATE_BOOSTS,
     null_uniform_scenario,
@@ -37,6 +39,12 @@ class TestPaper2016Scenario:
 
     def test_seed_propagates(self):
         assert paper2016_scenario(seed=99).seed == 99
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            paper2016_scenario(seed=-1)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            SynthConfig(seed=-1)
 
 
 class TestPlantedBoosts:
